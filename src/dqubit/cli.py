@@ -8,7 +8,6 @@ error (the offending key is named), 2 runtime or fit failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -70,21 +69,7 @@ def _run_darkstates(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
 def _run_tomo(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
     p = cfg.params
     if p["matrix_source"] == "chain":
-        # exact chain expectations: fast, deterministic forward matrix
-        means = np.zeros((5, 4))
-        for ri, (label, pols) in enumerate(scatter.D_SETTINGS):
-            beams = scatter.d_detection_beams(pols, p["b_gauss"], p["intensity"])
-            model = scatter.build_model(p["b_gauss"], beams)
-            for ci, state in enumerate(scatter.GROUND_STATES[2:6]):
-                means[ri, ci] = scatter.chain_expected_counts(model, state)
-        matrix = scatter.DetectionMatrix(
-            row_labels=tuple(s[0] for s in scatter.D_SETTINGS),
-            col_labels=tuple(str(s) for s in scatter.GROUND_STATES[2:6]),
-            means=means,
-            sems=np.zeros_like(means),
-            trials=0,
-            seed=cfg.seed,
-        )
+        matrix = scatter.chain_detection_matrix_d(p["b_gauss"], p["intensity"], seed=cfg.seed)
     else:
         matrix = serialize.parse_detection_matrix(Path(p["matrix_source"]).read_text())
     counts = tomography.synth_counts(
@@ -137,10 +122,8 @@ def _run_rabi(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
     lines.append(f"kind: {p['kind']}")
     lines.append(f"omega_rad_s: {serialize.fmt(fit.omega_rad_s)}")
     lines.append(f"omega_err: {serialize.fmt(fit.omega_err)}")
-    lines.append(f"tau_s: {serialize.fmt(fit.tau_s) if math.isfinite(fit.tau_s) else 'inf'}")
-    lines.append(
-        f"tau_err: {serialize.fmt(fit.tau_err) if math.isfinite(fit.tau_err) else 'nan'}"
-    )
+    lines.append(f"tau_s: {serialize.fmt(fit.tau_s)}")
+    lines.append(f"tau_err: {serialize.fmt(fit.tau_err)}")
     lines.append(f"residual_rms: {serialize.fmt(fit.residual_rms)}")
     lines.append(f"decay_free_bound: {fit.decay_free_bound}")
     paths.append(_write(out, "rabi_fit.txt", "\n".join(lines) + "\n", quiet))

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from .atom import BA138, AtomConstants, JZ_QUARTET
+from .linalg import expm
 
 __all__ = [
     "EffectiveDrive",
@@ -90,6 +90,8 @@ class DecayModel:
 
 
 NO_DECAY = DecayModel()
+
+_STIRAP_BLOCK = 4096  # STIRAP steps exponentiated per expm call; bounds memory for large step counts
 
 
 def drive_hamiltonian(drive: EffectiveDrive) -> np.ndarray:
@@ -172,18 +174,13 @@ def evolve(
             state = np.outer(state, state.conj())
 
     phases = np.exp(-1j * np.outer(times, evals))  # (T, 4)
-    pops = np.empty((times.size, 4))
     if density:
-        states = np.empty((times.size, 4, 4), complex)
-        rho0 = vecs.conj().T @ state @ vecs
-        for ti in range(times.size):
-            u = vecs * phases[ti]  # vecs @ diag(phases)
-            rho = u @ rho0 @ u.conj().T
-            if not decay.decay_free:
-                w = math.exp(-times[ti] / decay.tau_s)
-                rho = w * rho + (1.0 - w) * np.eye(4) / 4.0
-            states[ti] = rho
-            pops[ti] = np.diag(rho).real
+        u = vecs * phases[:, None, :]  # (T, 4, 4): vecs @ diag(phases) per time
+        states = u @ (vecs.conj().T @ state @ vecs) @ u.conj().transpose(0, 2, 1)
+        if not decay.decay_free:
+            w = np.exp(-times / decay.tau_s)[:, None, None]
+            states = w * states + (1.0 - w) * np.eye(4) / 4.0
+        pops = np.diagonal(states, axis1=1, axis2=2).real.copy()
     else:
         amp0 = vecs.conj().T @ state
         amps = phases * amp0  # (T, 4) in eigenbasis
@@ -345,23 +342,21 @@ def stirap_prepare(
 
     times = np.linspace(0.0, total_s, steps + 1)
     dt = times[1] - times[0]
+    t = times[:-1] + dt / 2.0
+    op = peak_pump_rad_s * np.exp(-((t - t_pump) ** 2) / (2 * pulse_width_s**2))
+    os_ = peak_stokes_rad_s * np.exp(-((t - t_stokes) ** 2) / (2 * pulse_width_s**2))
     psi = np.array([1.0, 0.0, 0.0], complex)  # (start, excited, target)
     pops = np.empty((steps + 1, 3))
     pops[0] = np.abs(psi) ** 2
-    for i in range(steps):
-        t = times[i] + dt / 2.0
-        op = peak_pump_rad_s * math.exp(-((t - t_pump) ** 2) / (2 * pulse_width_s**2))
-        os_ = peak_stokes_rad_s * math.exp(-((t - t_stokes) ** 2) / (2 * pulse_width_s**2))
-        h = np.array(
-            [
-                [0.0, op / 2.0, 0.0],
-                [op / 2.0, -0.5j * gamma, os_ / 2.0],
-                [0.0, os_ / 2.0, 0.0],
-            ],
-            complex,
-        )
-        psi = expm(-1j * h * dt) @ psi
-        pops[i + 1] = np.abs(psi) ** 2
+    for lo in range(0, steps, _STIRAP_BLOCK):
+        hi = min(lo + _STIRAP_BLOCK, steps)
+        h = np.zeros((hi - lo, 3, 3), complex)
+        h[:, 0, 1] = h[:, 1, 0] = op[lo:hi] / 2.0
+        h[:, 1, 2] = h[:, 2, 1] = os_[lo:hi] / 2.0
+        h[:, 1, 1] = -0.5j * gamma
+        for i, u in enumerate(expm(-1j * h * dt), start=lo):
+            psi = u @ psi
+            pops[i + 1] = np.abs(psi) ** 2
     final = np.abs(psi) ** 2
     return StirapResult(
         fidelity=float(final[2]),

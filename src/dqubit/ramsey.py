@@ -270,7 +270,9 @@ def calibrate_residual_rate(
 
     The insensitive qubit decays exponentially while the fit assumes a
     Gaussian envelope, so the rate is calibrated by a generate-and-fit secant
-    loop rather than derived.
+    loop rather than derived.  Once two rates bracket the target, a secant
+    step that would leave the bracket is replaced by bisection.  Raises
+    FitFailureError if the fitted T2* is not within 0.5% of the target.
     """
     if not target_t2_s > 0:
         raise ValueError("target coherence time must be positive")
@@ -288,13 +290,25 @@ def calibrate_residual_rate(
         return r0
     r1 = r0 * (f0 / target_t2_s + 1.0)
     f1 = fitted(r1) - target_t2_s
+    side = {f0 > 0: r0}  # latest rate with a fitted T2* above / below the target
     for _ in range(8):
         if abs(f1) / target_t2_s < 0.005:
             break
-        if f1 == f0:
+        side[f1 > 0] = r1
+        step = r1 - f1 * (r1 - r0) / (f1 - f0) if f1 != f0 else math.nan
+        if len(side) == 2:
+            lo, hi = sorted(side.values())
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+        elif f1 == f0:
             break
-        r0, r1, f0 = r1, max(r1 - f1 * (r1 - r0) / (f1 - f0), 1e-3 / target_t2_s), f1
+        r0, r1, f0 = r1, max(step, 1e-3 / target_t2_s), f1
         f1 = fitted(r1) - target_t2_s
+    if not abs(f1) / target_t2_s < 0.005:
+        raise FitFailureError(
+            f"residual-rate calibration did not converge: fitted T2* {f1 + target_t2_s:.6g} s "
+            f"at rate {r1:.6g}/s against target {target_t2_s:.6g} s"
+        )
     return r1
 
 
@@ -323,7 +337,8 @@ def benchmark_suite(
     RMS is calibrated closed-loop (the residual rate also dephases the
     sensitive qubits) so the doublet fits its target T2*.  A qubit whose fit
     pins at the upper search bound is flagged unbounded, which is what
-    happens to the insensitive qubit when the residual rate is zero.
+    happens to the insensitive qubit when the residual rate is zero.  Raises
+    FitFailureError if a calibrated doublet T2* is not within 0.5% of its target.
     """
     windows: dict[str, Optional[float]] = {
         "s-doublet": None,
@@ -377,5 +392,10 @@ def benchmark_suite(
                 t2_err=fit.t2_err,
                 unbounded=fit.at_upper_bound,
             )
+        )
+    if windows["s-doublet"] is not None and not abs(rows[0].t2_s - s_target_t2_s) / s_target_t2_s < 0.005:
+        raise FitFailureError(
+            f"field-noise calibration did not converge: s-doublet T2* {rows[0].t2_s:.6g} s "
+            f"at sigma {sigma:.6g} mG against target {s_target_t2_s:.6g} s"
         )
     return rows

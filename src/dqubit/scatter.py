@@ -1,4 +1,4 @@
-"""Stochastic optical pumping in the eight-level ion with a photon counter.
+"""Stochastic optical pumping in the eight-level ion, counted in blue photons.
 
 The model keeps the six long-lived levels (two S, four D) explicitly and
 adiabatically eliminates the fast P doublet: weak driving excites a small
@@ -13,16 +13,17 @@ quantum jumps on the ground+metastable manifold.  Two simulation methods:
   Exact for single-polarization settings, where no coherences form.
 
 The observable is the number of blue photons (P -> S decays) emitted until
-the ion is pumped dark.  The counter plays the role of an extra bookkeeping
-state riding along with the trajectory.
+the ion is pumped dark.  Each trajectory keeps an integer photon count; a
+cell's mean and standard error come from the counts of all its trajectories.
 """
 from __future__ import annotations
 
 import enum
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import sqrt
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,12 +36,12 @@ from .atom import (
     cg_coefficient,
     zeeman_shift,
 )
+from .linalg import expm
 from .rng import uniform_table
 
 __all__ = [
     "BeamColor",
     "BeamConfig",
-    "PhotonCounter",
     "PumpModel",
     "PumpResult",
     "DetectionMatrix",
@@ -55,6 +56,7 @@ __all__ = [
     "chain_expected_counts",
     "detection_matrix_s",
     "detection_matrix_d",
+    "chain_detection_matrix_d",
     "find_dark_states",
 ]
 
@@ -174,59 +176,18 @@ def d_detection_beams(
     return red, blue
 
 
-class PhotonCounter:
-    """Running mean/variance accumulator of per-trajectory photon counts.
-
-    Merging is associative, so trajectory batches can be accumulated in any
-    chunking without changing the result.
-    """
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._sum = 0.0
-        self._sumsq = 0.0
-
-    def push(self, counts: np.ndarray) -> None:
-        counts = np.asarray(counts, dtype=float)
-        self.n += counts.size
-        self._sum += counts.sum()
-        self._sumsq += (counts**2).sum()
-
-    def merge(self, other: "PhotonCounter") -> "PhotonCounter":
-        out = PhotonCounter()
-        out.n = self.n + other.n
-        out._sum = self._sum + other._sum
-        out._sumsq = self._sumsq + other._sumsq
-        return out
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self.n if self.n else float("nan")
-
-    @property
-    def variance(self) -> float:
-        if self.n < 2:
-            return float("nan")
-        return max(0.0, (self._sumsq - self._sum**2 / self.n) / (self.n - 1))
-
-    @property
-    def sem(self) -> float:
-        return sqrt(self.variance / self.n) if self.n >= 2 else float("nan")
-
-
 @dataclass(frozen=True)
 class PumpModel:
     """Assembled excitation/decay model for one field and beam set.
 
-    Immutable after build; all mutable bookkeeping lives in the per-run
-    counter objects, which merge associatively.
+    Immutable after build.  The quantum-jump engine, with its propagator
+    cache, is built on first use and shared by every run on the model.
     """
 
     constants: AtomConstants
     b_gauss: float
     beams: tuple[BeamConfig, ...]
     degenerate_zeeman: bool
-    counter: PhotonCounter = field(default_factory=PhotonCounter, compare=False)
     # internals (units: us and rad/us)
     _gamma: float = field(repr=False, compare=False, default=0.0)
     _zg: np.ndarray = field(repr=False, compare=False, default=None)
@@ -234,7 +195,10 @@ class PumpModel:
     _colors: tuple = field(repr=False, compare=False, default=())
     _chain_rates: np.ndarray = field(repr=False, compare=False, default=None)  # (6, 2)
     _decay_probs: np.ndarray = field(repr=False, compare=False, default=None)  # (2, 6)
-    _engine_cache: dict = field(repr=False, compare=False, default_factory=dict)
+
+    @cached_property
+    def _jump_engine(self) -> "_JumpEngine":
+        return _JumpEngine(self)
 
     def excitation_rate_of(self, state: ZeemanState) -> float:
         """Total excitation rate out of a basis state, 1/us."""
@@ -361,9 +325,8 @@ class PumpResult:
     mean: float
     sem: float
     trials: int
-    counter: PhotonCounter
     capped_fraction: float
-    counts: Optional[np.ndarray] = None
+    counts: np.ndarray  # per-trajectory photon counts, in trial order
 
 
 def chain_expected_counts(model: PumpModel, initial: ZeemanState) -> float:
@@ -416,17 +379,23 @@ def _chain_sample_block(
     return counts, capped
 
 
+DARK_RATE_FRACTION = 1e-6  # dark: time-averaged rate below this share of the largest basis-state rate
+_DARK_CHECK_EVERY = 16  # lockstep steps between dark-termination checks
+
+
 class _JumpEngine:
-    """Precompiled matrices plus a shared propagator cache over the time grid."""
+    """Precompiled matrices plus a propagator cache over the fixed time grid ``dt``.
 
-    PROP_CHUNK = 4096  # propagators are Taylor-expanded in vectorized batches
+    The one-step propagators are shared by all trajectories of the model and
+    exponentiated ``PROP_CHUNK`` steps at a time as the longest one needs them.
+    """
 
-    def __init__(self, model: PumpModel, dt: Optional[float], eps: float):
-        self.model = model
+    PROP_CHUNK = 4096
+
+    def __init__(self, model: PumpModel):
         self.gamma = model._gamma
         self.colors = model._colors
         self.stack = _decay_channel_stack(model.constants)
-        self.eps = eps
 
         # termination: rate survives time-averaging iff any single-frequency
         # amplitude group is nonzero; group terms by (color, excited, delta+z_g)
@@ -460,40 +429,22 @@ class _JumpEngine:
         self._gfreqs = np.array(sorted(gterms))
         self._gmats = np.array([gterms[w] for w in sorted(gterms)])
 
-        if dt is None:
-            freqs = [0.0]
-            for _, _, deltas in self.colors:
-                freqs.extend(deltas.tolist())
-            freqs.extend(model._zg.tolist())
-            span = max(freqs) - min(freqs)
-            beat = max(abs(f) for f in freqs)
-            wmax = max(span, 2 * beat, 1e-12)
-            dt = min((2 * np.pi / wmax) / 28.0, 0.05)
-        self.dt = dt
+        # 28 steps per period of the fastest beat in the generator
+        freqs = [0.0]
+        for _, _, deltas in self.colors:
+            freqs.extend(deltas.tolist())
+        freqs.extend(model._zg.tolist())
+        span = max(freqs) - min(freqs)
+        beat = max(abs(f) for f in freqs)
+        wmax = max(span, 2 * beat, 1e-12)
+        self.dt = min((2 * np.pi / wmax) / 28.0, 0.05)
         self._props: list[np.ndarray] = []
-
-    def _generator(self, t: float) -> np.ndarray:
-        ph = np.exp(-1j * self._gfreqs * t)
-        return np.tensordot(ph, self._gmats, axes=(0, 0))
 
     def _extend_props(self) -> None:
         lo = len(self._props)
         t_mid = (lo + 0.5 + np.arange(self.PROP_CHUNK)) * self.dt
         ph = np.exp(-1j * np.outer(t_mid, self._gfreqs))
-        a = np.einsum("nm,mij->nij", ph, self._gmats) * self.dt
-        # scaling-and-squaring Taylor exponential, batched over the chunk
-        norm = np.abs(a).sum(axis=2).max()
-        squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-30) / 0.25))))
-        a /= 2.0**squarings
-        eye = np.broadcast_to(np.eye(6, dtype=complex), a.shape)
-        m = eye + a
-        term = a
-        for p in range(2, 16):
-            term = term @ a / p
-            m = m + term
-        for _ in range(squarings):
-            m = m @ m
-        self._props.extend(m)
+        self._props.extend(expm(np.einsum("nm,mij->nij", ph, self._gmats) * self.dt))
 
     def propagator(self, step: int) -> np.ndarray:
         while len(self._props) <= step:
@@ -523,7 +474,6 @@ def _jump_sample_block(
     n: int,
     max_jumps: int,
     max_steps: int,
-    check_every: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantum-jump sampling of n trajectories; returns (counts, capped)."""
     table = uniform_table(seed, first_trial, n, 2 * max_jumps + 1)
@@ -540,14 +490,14 @@ def _jump_sample_block(
 
     # initial dark check (dark initial states terminate immediately)
     rsec = eng.secular_rates(psi)
-    done |= rsec < eng.eps * eng.rate_ref
+    done |= rsec < DARK_RATE_FRACTION * eng.rate_ref
 
     active = np.nonzero(~done)[0]
     dt = eng.dt
     step = 0
     while active.size and step < max_steps:
         psi_a = psi[active]
-        n_sub = min(check_every, max_steps - step)
+        n_sub = min(_DARK_CHECK_EVERY, max_steps - step)
         for _ in range(n_sub):
             M = eng.propagator(step)
             psi_a = psi_a @ M.T
@@ -593,10 +543,10 @@ def _jump_sample_block(
         if not active.size:
             break
         psi[active] = psi_a
-        # dark termination: time-averaged rate below epsilon of the reference
+        # dark termination: time-averaged rate below DARK_RATE_FRACTION of the reference
         nrm = np.sqrt(np.einsum("ij,ij->i", psi_a, psi_a.conj()).real)
         rsec = eng.secular_rates(psi_a / nrm[:, None])
-        dark = rsec < eng.eps * eng.rate_ref
+        dark = rsec < DARK_RATE_FRACTION * eng.rate_ref
         if dark.any():
             done[active[dark]] = True
             active = active[~dark]
@@ -611,21 +561,17 @@ def simulate_pumping(
     trials: int,
     seed: int,
     method: str = "jump",
-    dt_us: Optional[float] = None,
-    eps: float = 1e-6,
     max_jumps: int = 400,
     max_steps: int = 400_000,
     block: int = 8192,
-    check_every: int = 16,
-    return_counts: bool = False,
 ) -> PumpResult:
     """Mean and standard error of emitted blue photons until the ion is dark.
 
     Deterministic for fixed (seed, trials) regardless of ``block``: trial t
     always draws from the substream keyed (seed, t).  A trajectory ends when
-    its time-averaged excitation rate falls below ``eps`` times the largest
-    basis-state rate (a state with zero time-averaged rate can never
-    brighten), or when it exceeds the jump/step caps.
+    its time-averaged excitation rate falls below ``DARK_RATE_FRACTION`` times
+    the largest basis-state rate (a state with zero time-averaged rate can
+    never brighten), or when it exceeds the jump/step caps.
 
     Raises NonTerminatingError if more than 1% of trajectories hit a cap.
     """
@@ -637,28 +583,18 @@ def simulate_pumping(
         raise ValueError(f"unknown method {method!r}")
     idx = _GROUND_INDEX[initial]
 
-    counter = PhotonCounter()
-    all_counts = [] if return_counts else None
+    all_counts = []
     capped_total = 0
-    eng = None
-    if method == "jump":
-        key = (dt_us, eps)
-        eng = model._engine_cache.get(key)
-        if eng is None:
-            eng = _JumpEngine(model, dt_us, eps)
-            model._engine_cache[key] = eng
     for lo in range(0, trials, block):
         n = min(block, trials - lo)
         if method == "chain":
             counts, capped = _chain_sample_block(model, idx, seed, lo, n, max_jumps)
         else:
             counts, capped = _jump_sample_block(
-                eng, idx, seed, lo, n, max_jumps, max_steps, check_every
+                model._jump_engine, idx, seed, lo, n, max_jumps, max_steps
             )
-        counter.push(counts)
         capped_total += int(capped.sum())
-        if all_counts is not None:
-            all_counts.append(counts)
+        all_counts.append(counts)
 
     frac = capped_total / trials
     if frac > 0.01:
@@ -666,14 +602,14 @@ def simulate_pumping(
             f"{capped_total}/{trials} trajectories failed to pump dark for "
             f"configuration: {model.describe()}"
         )
-    sem = counter.sem if trials > 1 else 0.0
+    counts = np.concatenate(all_counts)
+    x = counts.astype(float)
+    total = x.sum()
+    sem = 0.0
+    if trials > 1:
+        sem = sqrt(max(0.0, (x @ x - total**2 / trials) / (trials - 1)) / trials)
     return PumpResult(
-        mean=counter.mean,
-        sem=float(sem),
-        trials=trials,
-        counter=counter,
-        capped_fraction=frac,
-        counts=np.concatenate(all_counts) if all_counts else None,
+        mean=total / trials, sem=sem, trials=trials, capped_fraction=frac, counts=counts
     )
 
 
@@ -707,6 +643,45 @@ D_SETTINGS: tuple[tuple[str, tuple[Polarization, ...]], ...] = (
 )
 
 
+def _detection_matrix(
+    b_gauss: float,
+    rows: Sequence[tuple[str, Sequence[BeamConfig]]],
+    states: Sequence[ZeemanState],
+    cell: Callable[[PumpModel, ZeemanState, int], tuple[float, float]],
+    trials: int,
+    seed: int,
+    constants: AtomConstants,
+) -> DetectionMatrix:
+    """One cell per (setting row, initial-state column), seeded seed + 1000*row + col.
+
+    ``cell(model, state, cell_seed)`` returns the cell's (mean, sem).  Each
+    row's model is built just before its cells run, so one propagator cache
+    is alive at a time.
+    """
+    means = np.zeros((len(rows), len(states)))
+    sems = np.zeros_like(means)
+    for ri, (_, beams) in enumerate(rows):
+        model = build_model(b_gauss, beams, constants)
+        for ci, state in enumerate(states):
+            means[ri, ci], sems[ri, ci] = cell(model, state, seed + 1000 * ri + ci)
+    return DetectionMatrix(
+        row_labels=tuple(label for label, _ in rows),
+        col_labels=tuple(str(s) for s in states),
+        means=means,
+        sems=sems,
+        trials=trials,
+        seed=seed,
+    )
+
+
+def _sampled_cell(trials: int, method: str):
+    def cell(model: PumpModel, state: ZeemanState, cell_seed: int) -> tuple[float, float]:
+        res = simulate_pumping(model, state, trials, cell_seed, method=method)
+        return res.mean, res.sem
+
+    return cell
+
+
 def detection_matrix_s(
     b_gauss: float = 2.2,
     trials: int = 2000,
@@ -720,23 +695,12 @@ def detection_matrix_s(
     Columns are ordered by ascending m_J (s-1/2, s+1/2); with symmetric
     intensities the result is diagonal with entries near 2.8.
     """
-    means = np.zeros((2, 2))
-    sems = np.zeros((2, 2))
-    rows = (("sigma+", Polarization.SIGMA_PLUS), ("sigma-", Polarization.SIGMA_MINUS))
-    for ri, (label, probe) in enumerate(rows):
-        model = build_model(b_gauss, s_detection_beams(probe, b_gauss, intensity, constants), constants)
-        for ci, state in enumerate(_S_STATES):
-            res = simulate_pumping(model, state, trials, seed + 1000 * ri + ci, method=method)
-            means[ri, ci] = res.mean
-            sems[ri, ci] = res.sem
-    return DetectionMatrix(
-        row_labels=tuple(r[0] for r in rows),
-        col_labels=tuple(str(s) for s in _S_STATES),
-        means=means,
-        sems=sems,
-        trials=trials,
-        seed=seed,
-    )
+    rows = [
+        (label, s_detection_beams(probe, b_gauss, intensity, constants))
+        for label, probe in (("sigma+", Polarization.SIGMA_PLUS), ("sigma-", Polarization.SIGMA_MINUS))
+    ]
+    cell = _sampled_cell(trials, method)
+    return _detection_matrix(b_gauss, rows, _S_STATES, cell, trials, seed, constants)
 
 
 def detection_matrix_d(
@@ -756,9 +720,8 @@ def detection_matrix_d(
     distinct detunings; equal detunings draw a warning because the second
     dark state is then tagged stationary and the row loses rank.
     """
-    means = np.zeros((5, 4))
-    sems = np.zeros((5, 4))
-    for ri, (label, pols) in enumerate(D_SETTINGS):
+    rows = []
+    for label, pols in D_SETTINGS:
         red, blue = d_detection_beams(pols, b_gauss, intensity, constants)
         if detuning_overrides and label in detuning_overrides:
             red = replace(red, detuning_hz=dict(detuning_overrides[label]))
@@ -770,19 +733,26 @@ def detection_matrix_d(
                     "stationary and the row loses rank",
                     stacklevel=2,
                 )
-        model = build_model(b_gauss, (red, blue), constants)
-        for ci, state in enumerate(_D_STATES):
-            res = simulate_pumping(model, state, trials, seed + 1000 * ri + ci, method=method)
-            means[ri, ci] = res.mean
-            sems[ri, ci] = res.sem
-    return DetectionMatrix(
-        row_labels=tuple(s[0] for s in D_SETTINGS),
-        col_labels=tuple(str(s) for s in _D_STATES),
-        means=means,
-        sems=sems,
-        trials=trials,
-        seed=seed,
-    )
+        rows.append((label, (red, blue)))
+    cell = _sampled_cell(trials, method)
+    return _detection_matrix(b_gauss, rows, _D_STATES, cell, trials, seed, constants)
+
+
+def chain_detection_matrix_d(
+    b_gauss: float = 2.2,
+    intensity: float = DEFAULT_INTENSITY,
+    seed: int = 0,
+) -> DetectionMatrix:
+    """Exact classical-chain expectation of the ``detection_matrix_d`` matrix.
+
+    Nothing is sampled: the SEMs are zero, ``trials`` is 0 and ``seed`` is only recorded.
+    """
+
+    def cell(model: PumpModel, state: ZeemanState, _: int) -> tuple[float, float]:
+        return chain_expected_counts(model, state), 0.0
+
+    rows = [(label, d_detection_beams(pols, b_gauss, intensity, BA138)) for label, pols in D_SETTINGS]
+    return _detection_matrix(b_gauss, rows, _D_STATES, cell, 0, seed, BA138)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,23 @@ class TestEvolve:
         assert (np.diff(purities) <= 1e-12).all()
         assert np.allclose(res.states[-1], np.eye(4) / 4, atol=0.01)
 
+    def test_depolarized_density_matches_per_time_reference(self):
+        from scipy.linalg import expm
+
+        drv = EffectiveDrive(kind="dm2", rabi_rad_s=OMEGA_PAIR, phase_rad=0.7, detuning_rad_s=2e4)
+        decay = DecayModel(tau_s=40e-6)
+        rho0 = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        rho0[0, 2] = rho0[2, 0] = 0.05
+        times = np.linspace(0.0, 60e-6, 25)
+        res = evolve(rho0, drv, decay, times)
+        h = drive_hamiltonian(drv)
+        for t, rho in zip(times, res.states):
+            u = expm(-1j * h * t)
+            w = math.exp(-t / decay.tau_s)
+            ref = w * u @ rho0 @ u.conj().T + (1 - w) * np.eye(4) / 4
+            assert np.abs(rho - ref).max() < 1e-12
+        assert np.array_equal(res.populations, np.diagonal(res.states, axis1=1, axis2=2).real)
+
     def test_populations_independent_of_drive_phase_from_basis_state(self):
         times = np.linspace(0.0, 25e-6, 40)
         base = evolve(

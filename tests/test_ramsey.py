@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dqubit.dynamics import FitFailureError
 from dqubit.ramsey import (
     NoiseModel,
     benchmark_suite,
@@ -133,12 +134,14 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_noise(1e-4, 0.0)
 
-    def test_residual_rate_generate_and_fit(self):
-        rate = calibrate_residual_rate(350e-6, shots=8000, seed=6)
+    # (10_000, 2512001858): the plain secant oscillates there without converging
+    @pytest.mark.parametrize("shots, seed", [(8000, 6), (10_000, 2512001858)])
+    def test_residual_rate_generate_and_fit(self, shots, seed):
+        rate = calibrate_residual_rate(350e-6, shots=shots, seed=seed)
         scan = ramsey_scan(
-            0.0, NoiseModel(residual_rate_per_s=rate), delays_for(350e-6), 8000, seed=6
+            0.0, NoiseModel(residual_rate_per_s=rate), delays_for(350e-6), shots, seed=seed
         )
-        assert fit_t2star(scan).t2_s == pytest.approx(350e-6, rel=0.05)
+        assert fit_t2star(scan).t2_s == pytest.approx(350e-6, rel=0.005)
 
 
 class TestSensitivityScaling:
@@ -176,6 +179,11 @@ class TestBenchmarkSuite:
     def test_doublet_and_pair_match_inverse_sensitivity(self, rows):
         ratio = rows[1].t2_s / rows[0].t2_s
         assert ratio == pytest.approx(2.8 / 2.24, rel=0.08)
+
+    def test_unconverged_field_calibration_raises(self):
+        # 50 shots per delay leave the closed loop 2% short of the doublet target
+        with pytest.raises(FitFailureError, match="field-noise calibration"):
+            benchmark_suite(seed=0, shots=50, residual_rate_per_s=1500.0)
 
     def test_zero_residual_rate_unbounded_synthetic_row(self):
         rows = benchmark_suite(seed=12, shots=2000, residual_rate_per_s=0.0)

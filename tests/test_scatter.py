@@ -11,8 +11,8 @@ from dqubit.scatter import (
     DetectionMatrix,
     GROUND_STATES,
     NonTerminatingError,
-    PhotonCounter,
     build_model,
+    chain_detection_matrix_d,
     chain_expected_counts,
     d_detection_beams,
     detection_matrix_d,
@@ -125,12 +125,12 @@ class TestSimulatePumping:
 
     def test_deterministic_and_chunking_invariant(self):
         model = s_model()
-        a = simulate_pumping(model, S_DOWN, 300, seed=9, return_counts=True)
-        b = simulate_pumping(model, S_DOWN, 300, seed=9, return_counts=True, block=64)
+        a = simulate_pumping(model, S_DOWN, 300, seed=9)
+        b = simulate_pumping(model, S_DOWN, 300, seed=9, block=64)
         assert np.array_equal(a.counts, b.counts)
 
     def test_counts_are_nonnegative_integers(self):
-        res = simulate_pumping(s_model(), S_DOWN, 200, seed=10, return_counts=True)
+        res = simulate_pumping(s_model(), S_DOWN, 200, seed=10)
         assert res.counts.dtype.kind == "i"
         assert (res.counts >= 0).all()
 
@@ -152,23 +152,6 @@ class TestSimulatePumping:
             simulate_pumping(s_model(), ZeemanState(Manifold.P_HALF, 1), 10, seed=1)
         with pytest.raises(ValueError):
             simulate_pumping(s_model(), S_DOWN, 10, seed=1, method="exact")
-
-
-class TestPhotonCounter:
-    def test_merge_is_associative(self):
-        rng = np.random.default_rng(0)
-        chunks = [rng.integers(0, 10, 50) for _ in range(3)]
-        whole = PhotonCounter()
-        for c in chunks:
-            whole.push(c)
-        left = PhotonCounter()
-        left.push(chunks[0])
-        right = PhotonCounter()
-        right.push(chunks[1])
-        right.push(chunks[2])
-        merged = left.merge(right)
-        assert merged.mean == pytest.approx(whole.mean)
-        assert merged.variance == pytest.approx(whole.variance)
 
 
 class TestDetectionMatrixS:
@@ -233,6 +216,20 @@ class TestDetectionMatrixD:
                 assert matrix.means[ri, ci] == pytest.approx(
                     exact, rel=0.2, abs=4 * matrix.sems[ri, ci]
                 )
+
+    def test_chain_matrix_matches_value_iteration_oracle(self, matrix):
+        exact = chain_detection_matrix_d(seed=11)
+        assert exact.row_labels == matrix.row_labels
+        assert exact.col_labels == matrix.col_labels
+        assert exact.trials == 0 and exact.seed == 11
+        assert (exact.sems == 0.0).all()
+        from dqubit.scatter import D_SETTINGS
+
+        for ri, (_, pols) in enumerate(D_SETTINGS):
+            model = d_model(pols)
+            ref = chain_counts_by_value_iteration(model._chain_rates, model._decay_probs)
+            for ci in range(4):
+                assert exact.means[ri, ci] == pytest.approx(ref[2 + ci], abs=1e-10)
 
     def test_equal_detunings_warn(self):
         overrides = {"sigma+pi": {SP: 0.0, PI: 0.0}}
