@@ -71,7 +71,10 @@ def _run_tomo(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
     if p["matrix_source"] == "chain":
         matrix = scatter.chain_detection_matrix_d(p["b_gauss"], p["intensity"], seed=cfg.seed)
     else:
-        matrix = serialize.parse_detection_matrix(Path(p["matrix_source"]).read_text())
+        try:
+            matrix = serialize.parse_detection_matrix(Path(p["matrix_source"]).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError("matrix_source", f"cannot use {p['matrix_source']!r}: {exc}") from None
     counts = tomography.synth_counts(
         list(p["populations"]),
         p["efficiency"],
@@ -280,6 +283,9 @@ def main(argv=None) -> int:
         return 1
     try:
         run(cfg, quiet=args.quiet)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (dynamics.FitFailureError, scatter.NonTerminatingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

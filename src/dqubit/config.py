@@ -240,7 +240,10 @@ def load_config(path: str, experiment: Optional[str] = None) -> RunConfig:
         raise ConfigError("experiment", "missing from [run] section and command line")
     if exp not in EXPERIMENTS:
         raise ConfigError("experiment", f"{exp!r} is not one of {sorted(EXPERIMENTS)}")
-    seed = cp.getint("run", "seed", fallback=0)
+    try:
+        seed = cp.getint("run", "seed", fallback=0)
+    except ValueError:
+        raise ConfigError("seed", f"not an integer: {cp.get('run', 'seed')!r}") from None
     spec = {p.name: p for p in EXPERIMENTS[exp]}
     params: dict[str, Any] = {}
     if cp.has_section("params"):

@@ -8,6 +8,16 @@ quantum jumps on the ground+metastable manifold.  Two simulation methods:
 * ``jump``  - quantum-jump trajectories over the six-level state vector.
   Coherent dark superpositions, their Zeeman/detuning-induced brightening
   and post-decay coherences are all retained.  This is the default.
+  Trajectories use the waiting-time form of the Monte Carlo wave function
+  method (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): a jump happens
+  when the no-jump norm falls to a uniform draw.  When the no-jump
+  generator is periodic in a whole number of time steps, as it is for all
+  standard settings, each trajectory advances a power-of-two stride of
+  steps per iteration from its own phase through precomputed products, and
+  only trajectories whose norm crossed their draw bisect back to the
+  crossing step.  Otherwise all trajectories step through the grid in
+  lockstep, one propagator per step.  The two paths differ only in
+  floating-point rounding.
 * ``chain`` - the classical embedded Markov chain over basis states
   (excitation branching by line strength, decay branching by the 3:1 rule).
   Exact for single-polarization settings, where no coherences form.
@@ -180,8 +190,8 @@ def d_detection_beams(
 class PumpModel:
     """Assembled excitation/decay model for one field and beam set.
 
-    Immutable after build.  The quantum-jump engine, with its propagator
-    cache, is built on first use and shared by every run on the model.
+    Immutable after build.  The quantum-jump engine, with its fixed-size
+    propagator tables, is built on first use and shared by every run on the model.
     """
 
     constants: AtomConstants
@@ -380,14 +390,31 @@ def _chain_sample_block(
 
 
 DARK_RATE_FRACTION = 1e-6  # dark: time-averaged rate below this share of the largest basis-state rate
-_DARK_CHECK_EVERY = 16  # lockstep steps between dark-termination checks
+_DARK_CHECK_EVERY = 16  # fine steps between dark-termination checks
+_PERIOD_TOL = 1e-9  # cycles a generator frequency may miss a whole number by per period
+_MAX_PERIOD = 2048  # steps; a generator without a period this short is fine-stepped
+_MIN_STRIDE_LOG2 = 5  # a period advance covers at least 32 steps
+
+
+def _generator_period(freqs: np.ndarray, dt: float) -> Optional[int]:
+    """Smallest step count N with every exp(-i w N dt) = 1 within rounding, or None."""
+    x = np.arange(1, _MAX_PERIOD + 1)[:, None] * (freqs * dt / (2 * np.pi))
+    whole = np.nonzero((np.abs(x - np.round(x)) <= _PERIOD_TOL).all(axis=1))[0]
+    return int(whole[0]) + 1 if whole.size else None
 
 
 class _JumpEngine:
-    """Precompiled matrices plus a propagator cache over the fixed time grid ``dt``.
+    """Precompiled matrices of one model over the fixed time grid ``dt``.
 
-    The one-step propagators are shared by all trajectories of the model and
-    exponentiated ``PROP_CHUNK`` steps at a time as the longest one needs them.
+    The no-jump generator ``G(t) = sum_m exp(-i w_m t) C_m`` is usually periodic
+    in a whole number ``period`` of steps.  Then ``lift[k, p]`` is the product of
+    ``2**k`` step propagators starting at phase ``p`` (step ``p`` mod ``period``),
+    up to ``2**k = stride``, the first power of two >= max(``period``, 32): one
+    exponential call and ``log2(stride)`` batched products per model, and a
+    size fixed by the model, not by how long trajectories run.  Without such
+    a period (incommensurate detunings) ``period`` is None, there are no
+    tables, and trajectories are fine-stepped through ``step_propagators``
+    chunks that live only as long as one block needs them.
     """
 
     PROP_CHUNK = 4096
@@ -395,7 +422,8 @@ class _JumpEngine:
     def __init__(self, model: PumpModel):
         self.gamma = model._gamma
         self.colors = model._colors
-        self.stack = _decay_channel_stack(model.constants)
+        # decay amplitudes (excited, channel * ground): one jump's post-jump states per channel
+        self.decay = _decay_channel_stack(model.constants).transpose(2, 0, 1).reshape(2, -1)
 
         # termination: rate survives time-averaging iff any single-frequency
         # amplitude group is nonzero; group terms by (color, excited, delta+z_g)
@@ -438,32 +466,187 @@ class _JumpEngine:
         beat = max(abs(f) for f in freqs)
         wmax = max(span, 2 * beat, 1e-12)
         self.dt = min((2 * np.pi / wmax) / 28.0, 0.05)
-        self._props: list[np.ndarray] = []
 
-    def _extend_props(self) -> None:
-        lo = len(self._props)
-        t_mid = (lo + 0.5 + np.arange(self.PROP_CHUNK)) * self.dt
+        self.period = _generator_period(self._gfreqs, self.dt)
+        self.lift: Optional[np.ndarray] = None
+        if self.period is not None:
+            n = self.period
+            levels = max((n - 1).bit_length(), _MIN_STRIDE_LOG2)
+            lift = np.empty((levels + 1, n, 6, 6), complex)
+            lift[0] = self.step_propagators(0, n)
+            for k in range(levels):
+                lift[k + 1] = lift[k][(np.arange(n) + (1 << k)) % n] @ lift[k]
+            self.lift = lift
+
+    def step_propagators(self, first: int, count: int) -> np.ndarray:
+        """No-jump propagators of steps ``first .. first+count-1``, midpoint generator."""
+        t_mid = (first + 0.5 + np.arange(count)) * self.dt
         ph = np.exp(-1j * np.outer(t_mid, self._gfreqs))
-        self._props.extend(expm(np.einsum("nm,mij->nij", ph, self._gmats) * self.dt))
+        return expm(np.einsum("nm,mij->nij", ph, self._gmats) * self.dt)
 
-    def propagator(self, step: int) -> np.ndarray:
-        while len(self._props) <= step:
-            self._extend_props()
-        return self._props[step]
-
-    def excitation_amplitudes(self, psi: np.ndarray, t: float) -> list[np.ndarray]:
-        """Per-color excited amplitudes for a batch of states (n, 6) -> [(n, 2)]."""
+    def excitation_amplitudes(self, psi: np.ndarray, t: np.ndarray) -> list[np.ndarray]:
+        """Per-color excited amplitudes of states (n, 6) at times (n,) -> [(n, 2)]."""
         out = []
         for Bks, _, deltas in self.colors:
-            ph = np.exp(-1j * deltas * t)
-            Bt = np.tensordot(ph, Bks, axes=(0, 0))
-            out.append(psi @ Bt.T)
+            ph = np.exp(-1j * np.outer(t, deltas))
+            amp = (psi @ Bks.reshape(-1, 6).T).reshape(len(psi), len(deltas), 2)
+            out.append(np.einsum("nk,nke->ne", ph, amp))
         return out
 
     def secular_rates(self, psi_normed: np.ndarray) -> np.ndarray:
         """Time-averaged scattering rate of normalized states; zero iff permanently dark."""
         amp = psi_normed @ self.term_map.T
         return self.gamma * (np.abs(amp) ** 2).sum(axis=1)
+
+
+def _norms(psi: np.ndarray) -> np.ndarray:
+    return (psi.real**2 + psi.imag**2).sum(axis=1)
+
+
+def _apply(mats: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Row-wise products ``mats[i] @ psi[i]`` for (n, 6, 6) and (n, 6)."""
+    return np.einsum("nij,nj->ni", mats, psi)
+
+
+class _Trajectories:
+    """State, random draws and jump/dark bookkeeping of one block of trajectories.
+
+    Shared by both stepping loops; rows are indexed by their position in the block.
+    """
+
+    def __init__(
+        self, eng: _JumpEngine, initial_idx: int, seed: int, first_trial: int, n: int, max_jumps: int
+    ):
+        table = uniform_table(seed, first_trial, n, 2 * max_jumps + 1)
+        self.u_thresh = table[:, : max_jumps + 1]
+        self.u_chan = table[:, max_jumps + 1 :]
+        self.eng = eng
+        self.max_jumps = max_jumps
+        self.counts = np.zeros(n, np.int64)
+        self.jumps = np.zeros(n, np.int64)
+        self.thresh = self.u_thresh[:, 0].copy()
+        self.capped = np.zeros(n, bool)
+        self.done = np.zeros(n, bool)
+        psi = np.zeros((n, 6), complex)
+        psi[:, initial_idx] = 1.0
+        # dark initial states terminate immediately
+        self.dark(np.arange(n), psi)
+        self.active = np.nonzero(~self.done)[0]
+        self.psi = psi[self.active]  # initial states of the active rows
+
+    def jump(self, rows: np.ndarray, psi: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Jump rows whose no-jump norm fell to their threshold at ``steps``.
+
+        Rows that already made ``max_jumps`` jumps are capped instead.  Returns
+        the rows' states afterwards (normalized where they jumped).
+        """
+        over = self.jumps[rows] >= self.max_jumps
+        self.capped[rows[over]] = True
+        self.done[rows[over]] = True
+        go = np.nonzero(~over)[0]
+        if not go.size:
+            return psi
+        glob = rows[go]
+        amps = self.eng.excitation_amplitudes(psi[go], steps[go] * self.eng.dt)
+        posts = np.concatenate(
+            [(a @ self.eng.decay).reshape(-1, 6, 6) for a in amps], axis=1
+        )  # (m, colors*6, 6)
+        rates = (posts.real**2 + posts.imag**2).sum(axis=2)
+        cum = np.cumsum(rates, axis=1)
+        pick = (self.u_chan[glob, self.jumps[glob], None] * cum[:, -1:] > cum).sum(axis=1)
+        pick = np.minimum(pick, rates.shape[1] - 1)
+        new_psi = posts[np.arange(go.size), pick]
+        psi = psi.copy()
+        psi[go] = new_psi / np.linalg.norm(new_psi, axis=1)[:, None]
+        self.counts[glob] += _CHANNEL_IS_S[pick % 6]
+        self.jumps[glob] += 1
+        self.thresh[glob] = self.u_thresh[glob, self.jumps[glob]]
+        return psi
+
+    def dark(self, rows: np.ndarray, psi: np.ndarray) -> None:
+        """Mark done the rows whose time-averaged rate is below ``DARK_RATE_FRACTION`` of the reference."""
+        rsec = self.eng.secular_rates(psi / np.sqrt(_norms(psi))[:, None])
+        self.done[rows[rsec < DARK_RATE_FRACTION * self.eng.rate_ref]] = True
+
+
+def _period_steps(run: _Trajectories, max_steps: int) -> None:
+    """Advance each row ``stride`` steps per iteration from its own phase; bisect to jumps.
+
+    No-jump evolution never raises the norm (G + G^dagger <= 0), so a row whose
+    norm is still above its threshold after the advance made no jump in it.
+    For the others, binary lifting over ``lift`` finds the last step above the
+    threshold; one more step reaches the crossing, where the row jumps.
+    """
+    eng = run.eng
+    lift, n = eng.lift, eng.period
+    levels = len(lift) - 1
+    stride = 1 << levels
+    rows, psi = run.active, run.psi
+    step = np.zeros(rows.size, np.int64)
+    while True:
+        cap = step >= max_steps
+        if cap.any():
+            run.capped[rows[cap]] = True
+            rows, psi, step = rows[~cap], psi[~cap], step[~cap]
+        if not rows.size:
+            return
+        limit = np.minimum(stride, max_steps - step)
+        thresh = run.thresh[rows]
+        clear = np.zeros(rows.size, bool)
+        full = np.nonzero(limit == stride)[0]
+        if full.size:
+            adv = _apply(lift[levels, step[full] % n], psi[full])
+            ok = _norms(adv) > thresh[full]
+            psi[full[ok]] = adv[ok]
+            step[full[ok]] += stride
+            clear[full[ok]] = True
+        # bisect rows that crossed their threshold or have less than a stride left
+        sub = np.nonzero(~clear)[0]
+        if sub.size:
+            sub_psi, taken = psi[sub], np.zeros(sub.size, np.int64)
+            for k in range(levels - 1, -1, -1):
+                g = np.nonzero(taken + (1 << k) <= limit[sub])[0]
+                cand = _apply(lift[k, (step[sub[g]] + taken[g]) % n], sub_psi[g])
+                ok = _norms(cand) > thresh[sub[g]]
+                sub_psi[g[ok]] = cand[ok]
+                taken[g[ok]] += 1 << k
+            # a row that stopped short of its limit crosses on the next step
+            hit = np.nonzero(taken < limit[sub])[0]
+            sub_psi[hit] = _apply(lift[0, (step[sub[hit]] + taken[hit]) % n], sub_psi[hit])
+            taken[hit] += 1
+            step[sub] += taken
+            jumped = sub[hit]
+            sub_psi[hit] = run.jump(rows[jumped], sub_psi[hit], step[jumped])
+            psi[sub] = sub_psi
+        run.dark(rows, psi)
+        keep = ~run.done[rows]
+        rows, psi, step = rows[keep], psi[keep], step[keep]
+
+
+def _fine_steps(run: _Trajectories, max_steps: int) -> None:
+    """Step all rows in lockstep, one propagator per step, for generators without a period."""
+    eng = run.eng
+    rows, psi = run.active, run.psi
+    step = 0
+    props, props_lo = np.empty((0, 6, 6), complex), 0
+    while rows.size and step < max_steps:
+        for _ in range(min(_DARK_CHECK_EVERY, max_steps - step)):
+            if step - props_lo >= len(props):
+                props = eng.step_propagators(step, min(eng.PROP_CHUNK, max_steps - step))
+                props_lo = step
+            psi = psi @ props[step - props_lo].T
+            step += 1
+            hit = np.nonzero(_norms(psi) <= run.thresh[rows])[0]
+            if hit.size:
+                psi[hit] = run.jump(rows[hit], psi[hit], np.full(hit.size, step))
+                keep = ~run.done[rows]
+                rows, psi = rows[keep], psi[keep]
+                if not rows.size:
+                    return
+        run.dark(rows, psi)
+        keep = ~run.done[rows]
+        rows, psi = rows[keep], psi[keep]
+    run.capped[rows] = True
 
 
 def _jump_sample_block(
@@ -476,83 +659,12 @@ def _jump_sample_block(
     max_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantum-jump sampling of n trajectories; returns (counts, capped)."""
-    table = uniform_table(seed, first_trial, n, 2 * max_jumps + 1)
-    u_thresh = table[:, : max_jumps + 1]
-    u_chan = table[:, max_jumps + 1 :]
-
-    psi = np.zeros((n, 6), complex)
-    psi[:, initial_idx] = 1.0
-    counts = np.zeros(n, np.int64)
-    jumps = np.zeros(n, np.int64)
-    thresh = u_thresh[:, 0].copy()
-    capped = np.zeros(n, bool)
-    done = np.zeros(n, bool)
-
-    # initial dark check (dark initial states terminate immediately)
-    rsec = eng.secular_rates(psi)
-    done |= rsec < DARK_RATE_FRACTION * eng.rate_ref
-
-    active = np.nonzero(~done)[0]
-    dt = eng.dt
-    step = 0
-    while active.size and step < max_steps:
-        psi_a = psi[active]
-        n_sub = min(_DARK_CHECK_EVERY, max_steps - step)
-        for _ in range(n_sub):
-            M = eng.propagator(step)
-            psi_a = psi_a @ M.T
-            step += 1
-            t_now = step * dt
-            norms = np.einsum("ij,ij->i", psi_a, psi_a.conj()).real
-            hit = norms <= thresh[active]
-            if hit.any():
-                rows = np.nonzero(hit)[0]
-                glob = active[rows]
-                over = jumps[glob] >= max_jumps
-                if over.any():
-                    capped[glob[over]] = True
-                    done[glob[over]] = True
-                    rows = rows[~over]
-                    glob = glob[~over]
-                if rows.size:
-                    amps = eng.excitation_amplitudes(psi_a[rows], t_now)
-                    posts = []
-                    for a in amps:
-                        posts.append(np.einsum("cge,ne->ncg", eng.stack, a))
-                    posts = np.concatenate(posts, axis=1)  # (m, colors*6, 6)
-                    rates = (posts.real**2 + posts.imag**2).sum(axis=2)
-                    cum = np.cumsum(rates, axis=1)
-                    tot = cum[:, -1]
-                    pick = (
-                        u_chan[glob, jumps[glob], None] * tot[:, None] > cum
-                    ).sum(axis=1)
-                    pick = np.minimum(pick, rates.shape[1] - 1)
-                    new_psi = posts[np.arange(rows.size), pick]
-                    new_psi /= np.linalg.norm(new_psi, axis=1)[:, None]
-                    psi_a[rows] = new_psi
-                    counts[glob] += _CHANNEL_IS_S[pick % 6]
-                    jumps[glob] += 1
-                    thresh[glob] = u_thresh[glob, jumps[glob]]
-                if done[active].any():
-                    keep = ~done[active]
-                    psi[active] = psi_a
-                    active = active[keep]
-                    psi_a = psi[active]
-            if not active.size:
-                break
-        if not active.size:
-            break
-        psi[active] = psi_a
-        # dark termination: time-averaged rate below DARK_RATE_FRACTION of the reference
-        nrm = np.sqrt(np.einsum("ij,ij->i", psi_a, psi_a.conj()).real)
-        rsec = eng.secular_rates(psi_a / nrm[:, None])
-        dark = rsec < DARK_RATE_FRACTION * eng.rate_ref
-        if dark.any():
-            done[active[dark]] = True
-            active = active[~dark]
-    if active.size:
-        capped[active] = True
-    return counts, capped
+    run = _Trajectories(eng, initial_idx, seed, first_trial, n, max_jumps)
+    if eng.period is None:
+        _fine_steps(run, max_steps)
+    else:
+        _period_steps(run, max_steps)
+    return run.counts, run.capped
 
 
 def simulate_pumping(
@@ -655,8 +767,8 @@ def _detection_matrix(
     """One cell per (setting row, initial-state column), seeded seed + 1000*row + col.
 
     ``cell(model, state, cell_seed)`` returns the cell's (mean, sem).  Each
-    row's model is built just before its cells run, so one propagator cache
-    is alive at a time.
+    row's model is built just before its cells run, so one model's
+    propagator tables are alive at a time.
     """
     means = np.zeros((len(rows), len(states)))
     sems = np.zeros_like(means)

@@ -80,11 +80,19 @@ def parse_detection_matrix(text: str) -> DetectionMatrix:
             sems[label] = [float(v) for v in vals]
     if not rows or not cols:
         raise ValueError("detection-matrix document is missing rows/cols declarations")
+    for kind, table in (("mean", means), ("sem", sems)):
+        for r in rows:
+            if r not in table:
+                raise ValueError(f"detection-matrix document has no {kind} line for row {r!r}")
+            if len(table[r]) != len(cols):
+                raise ValueError(
+                    f"{kind} line of row {r!r} has {len(table[r])} values for {len(cols)} columns"
+                )
     return DetectionMatrix(
         row_labels=tuple(rows),
         col_labels=tuple(cols),
         means=np.array([means[r] for r in rows]),
-        sems=np.array([sems.get(r, [0.0] * len(cols)) for r in rows]),
+        sems=np.array([sems[r] for r in rows]),
         trials=trials,
         seed=seed,
     )

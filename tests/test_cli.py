@@ -64,6 +64,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="shots"):
             load_config(str(path))
 
+    def test_bad_file_seed_names_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[run]\nexperiment = ramsey\nseed = abc\n")
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(str(path))
+        assert main(["ramsey", "--config", str(path), "--quiet"]) == 1
+        assert "'seed'" in capsys.readouterr().err
+
 
 class TestCliProcess:
     def test_every_experiment_has_a_subcommand(self):
@@ -111,6 +119,28 @@ class TestCliProcess:
             assert (tmp_path / name).exists()
         est = (tmp_path / "estimate_constrained.txt").read_text()
         assert "method: constrained" in est
+
+    def test_missing_matrix_source_names_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "tomo.cfg"
+        cfg_path.write_text(
+            f"[run]\nexperiment = tomo\n\n[params]\nmatrix_source = {tmp_path / 'absent.txt'}\n"
+        )
+        rc = main(["tomo", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        assert "'matrix_source'" in capsys.readouterr().err
+
+    def test_truncated_matrix_source_names_key_and_row(self, tmp_path, capsys):
+        rc = main(["detmatrix_d", "--trials", "2", "--out", str(tmp_path / "m"), "--quiet"])
+        assert rc == 0
+        lines = (tmp_path / "m" / "detmatrix_d.txt").read_text().splitlines(keepends=True)
+        truncated = tmp_path / "truncated.txt"
+        truncated.write_text("".join(lines[:9]))  # header and the first three mean lines
+        cfg_path = tmp_path / "tomo.cfg"
+        cfg_path.write_text(f"[run]\nexperiment = tomo\n\n[params]\nmatrix_source = {truncated}\n")
+        rc = main(["tomo", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'matrix_source'" in err and "sigma+pi" in err
 
     def test_config_file_drives_run(self, tmp_path):
         cfg_path = tmp_path / "my.cfg"

@@ -1,8 +1,12 @@
+import copy
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqubit.atom import Manifold, Polarization, ZeemanState
 from dqubit.scatter import (
@@ -14,6 +18,7 @@ from dqubit.scatter import (
     build_model,
     chain_detection_matrix_d,
     chain_expected_counts,
+    D_SETTINGS,
     d_detection_beams,
     detection_matrix_d,
     detection_matrix_s,
@@ -22,6 +27,7 @@ from dqubit.scatter import (
     simulate_pumping,
     standard_beam,
 )
+from dqubit.scatter import _jump_sample_block
 
 from oracles import chain_counts_by_value_iteration
 
@@ -152,6 +158,92 @@ class TestSimulatePumping:
             simulate_pumping(s_model(), ZeemanState(Manifold.P_HALF, 1), 10, seed=1)
         with pytest.raises(ValueError):
             simulate_pumping(s_model(), S_DOWN, 10, seed=1, method="exact")
+
+
+# every row of the default D and S detection matrices, with the states it reads out
+STANDARD_ROWS = [(label, d_detection_beams(pols, 2.2), D) for label, pols in D_SETTINGS] + [
+    (label, s_detection_beams(probe, 2.2), (S_DOWN, S_UP))
+    for label, probe in (("s-sigma+", SP), ("s-sigma-", SM))
+]
+
+
+def fine_stepped(eng):
+    """The same engine forced onto the fine-stepping path."""
+    fine = copy.copy(eng)
+    fine.period = None
+    return fine
+
+
+def engine_nbytes(eng):
+    return sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
+
+
+def incommensurate_model():
+    """sigma- red row whose blue pi component is detuned off the common period."""
+    red, blue = d_detection_beams((SM,), 2.2)
+    blue = replace(blue, detuning_hz={**blue.detuning_hz, PI: -1.2345e6})
+    return build_model(2.2, (red, blue))
+
+
+class TestJumpEngine:
+    @pytest.mark.parametrize("label,beams,states", STANDARD_ROWS, ids=[r[0] for r in STANDARD_ROWS])
+    def test_period_path_matches_fine_stepping(self, label, beams, states):
+        # every state up to a step cap that ends mid-stride, then the first
+        # bright state until every trajectory is dark
+        model = build_model(2.2, beams)
+        eng = model._jump_engine
+        assert eng.period is not None
+        bright = next(s for s in states if chain_expected_counts(model, s) > 0)
+        cells = [(s, 24, 1000) for s in states] + [(bright, 8, 400_000)]
+        for ci, (state, n, max_steps) in enumerate(cells):
+            args = (GROUND_STATES.index(state), 40 + ci, 0, n, 400, max_steps)
+            counts, capped = _jump_sample_block(eng, *args)
+            ref_counts, ref_capped = _jump_sample_block(fine_stepped(eng), *args)
+            assert np.array_equal(counts, ref_counts)
+            assert np.array_equal(capped, ref_capped)
+
+    def test_incommensurate_detuning_falls_back_to_fine_stepping(self):
+        model = incommensurate_model()
+        assert model._jump_engine.period is None
+        assert model._jump_engine.lift is None
+        exact = chain_expected_counts(model, D[1])
+        res = simulate_pumping(model, D[1], 400, seed=6)
+        assert res.capped_fraction == 0.0
+        assert res.mean == pytest.approx(exact, abs=3 * res.sem)
+
+    def test_incommensurate_combination_override_has_no_period(self):
+        red, blue = d_detection_beams((SP, PI), 2.2)
+        red = replace(red, detuning_hz={SP: -1.2345e6, PI: 0.0})
+        assert build_model(2.2, (red, blue))._jump_engine.period is None
+
+    def test_engine_size_is_fixed_by_the_model(self):
+        for model in (d_model((SP, PI)), s_model()):
+            eng = model._jump_engine
+            stride = 2 ** (eng.lift.shape[0] - 1)
+            assert eng.lift.shape[1:] == (eng.period, 6, 6)
+            assert stride // 2 < max(eng.period, 32) <= stride
+        for model in (d_model((SP, PI)), incommensurate_model()):
+            eng = model._jump_engine
+            size = engine_nbytes(eng)
+            for max_steps in (50, 5000, 400_000, 4_000_000):
+                _jump_sample_block(eng, 2, 3, 0, 16, 400, max_steps)
+                assert engine_nbytes(eng) == size
+
+
+_BLOCK_MODEL = d_model((SP, PI))
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    trials=st.integers(1, 16),
+    extra=st.integers(0, 6),
+    block=st.integers(1, 24),
+)
+def test_counts_depend_only_on_seed_and_trial_index(seed, trials, extra, block):
+    ref = simulate_pumping(_BLOCK_MODEL, D[1], trials + extra, seed)
+    res = simulate_pumping(_BLOCK_MODEL, D[1], trials, seed, block=block)
+    assert np.array_equal(res.counts, ref.counts[:trials])
 
 
 class TestDetectionMatrixS:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,20 @@ def test_malformed_documents_rejected():
         parse_detection_matrix("# dqubit detection-matrix v1\ntrials: 3\n")
     with pytest.raises(ValueError):
         parse_counts("# dqubit counts v1\ntrials: 3\n")
+
+
+@pytest.mark.parametrize(
+    "drop,row",
+    [("mean sigma+pi ", "sigma+pi"), ("sem pi ", "pi")],
+)
+def test_missing_matrix_line_names_row(matrix, drop, row):
+    lines = write_detection_matrix(matrix).splitlines()
+    text = "\n".join(l for l in lines if not l.startswith(drop))
+    with pytest.raises(ValueError, match=re.escape(f"line for row '{row}'")):
+        parse_detection_matrix(text)
+
+
+def test_short_matrix_line_names_row(matrix):
+    text = write_detection_matrix(matrix).replace("mean sigma- 0 0 ", "mean sigma- 0 ")
+    with pytest.raises(ValueError, match="row 'sigma-' has 3 values for 4 columns"):
+        parse_detection_matrix(text)
