@@ -8,8 +8,10 @@ error (the offending key is named), 2 runtime or fit failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -23,15 +25,7 @@ __all__ = ["main", "run"]
 _POL_NAMES = {"sigma+": Polarization.SIGMA_PLUS, "sigma-": Polarization.SIGMA_MINUS, "pi": Polarization.PI}
 
 
-def _write(out_dir: Path, name: str, text: str, quiet: bool) -> Path:
-    path = out_dir / name
-    path.write_text(text)
-    if not quiet:
-        print(f"wrote {path}")
-    return path
-
-
-def _run_detmatrix(cfg: RunConfig, out: Path, quiet: bool, which: str) -> list[Path]:
+def _run_detmatrix(cfg: RunConfig, which: str) -> Iterator[tuple[str, str]]:
     p = cfg.params
     fn = scatter.detection_matrix_s if which == "s" else scatter.detection_matrix_d
     m = fn(
@@ -41,32 +35,26 @@ def _run_detmatrix(cfg: RunConfig, out: Path, quiet: bool, which: str) -> list[P
         intensity=p["intensity"],
         method=p["method"],
     )
-    text = serialize.write_detection_matrix(m, cfg.config_hash)
-    return [_write(out, f"detmatrix_{which}.txt", text, quiet)]
+    yield f"detmatrix_{which}.txt", serialize.write_detection_matrix(m, cfg.config_hash)
 
 
-def _run_darkstates(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
+def _run_darkstates(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     p = cfg.params
     pols = [_POL_NAMES[s] for s in p["pols"].split(",")]
-    dets = None
     if p["detuning_mode"] == "standard":
         beam = scatter.standard_beam(scatter.BeamColor.RED_650, pols, p["b_gauss"])
         dets = dict(beam.detuning_hz)
     else:
         dets = {q: 0.0 for q in pols}
     states = scatter.find_dark_states(pols, p["b_gauss"], dets)
-    lines = serialize.header_lines("dark-states", cfg.config_hash, cfg.seed)
-    lines.append(f"pols: {p['pols']}")
-    lines.append(f"b_gauss: {serialize.fmt(p['b_gauss'])}")
-    lines.append(f"count: {len(states)}")
+    fields = [("pols:", p["pols"]), ("b_gauss:", p["b_gauss"]), ("count:", len(states))]
     for st in states:
-        amp = " ".join(serialize.fmt(a) for a in st.amplitudes.real)
         tag = "stationary" if st.stationary else "non-stationary"
-        lines.append(f"dark {tag} {amp}")
-    return [_write(out, "darkstates.txt", "\n".join(lines) + "\n", quiet)]
+        fields.append((f"dark {tag}", st.amplitudes.real))
+    yield "darkstates.txt", serialize.write_record("dark-states", fields, cfg.config_hash, cfg.seed)
 
 
-def _run_tomo(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
+def _run_tomo(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     p = cfg.params
     if p["matrix_source"] == "chain":
         matrix = scatter.chain_detection_matrix_d(p["b_gauss"], p["intensity"], seed=cfg.seed)
@@ -75,6 +63,7 @@ def _run_tomo(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
             matrix = serialize.parse_detection_matrix(Path(p["matrix_source"]).read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError("matrix_source", f"cannot use {p['matrix_source']!r}: {exc}") from None
+    yield "matrix.txt", serialize.write_detection_matrix(matrix, cfg.config_hash)
     counts = tomography.synth_counts(
         list(p["populations"]),
         p["efficiency"],
@@ -84,24 +73,21 @@ def _run_tomo(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
         cfg.seed,
         scaled_background=p["scaled_background"],
     )
+    yield "counts.txt", serialize.write_counts(counts, cfg.config_hash, cfg.seed)
     direct = tomography.solve_direct(counts, matrix, p["scaled_background"])
+    yield "estimate_direct.txt", serialize.write_estimate(direct, cfg.config_hash, cfg.seed)
     constrained = tomography.solve_constrained(
         counts, matrix, p["efficiency"], p["scaled_background"]
     )
-    return [
-        _write(out, "matrix.txt", serialize.write_detection_matrix(matrix, cfg.config_hash), quiet),
-        _write(out, "counts.txt", serialize.write_counts(counts, cfg.config_hash, cfg.seed), quiet),
-        _write(out, "estimate_direct.txt", serialize.write_estimate(direct, cfg.config_hash, cfg.seed), quiet),
-        _write(
-            out,
-            "estimate_constrained.txt",
-            serialize.write_estimate(constrained, cfg.config_hash, cfg.seed),
-            quiet,
-        ),
-    ]
+    yield "estimate_constrained.txt", serialize.write_estimate(constrained, cfg.config_hash, cfg.seed)
 
 
-def _run_rabi(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
+def _fields(result, names: tuple[str, ...]) -> list[tuple[str, object]]:
+    """One ``name:`` field per named attribute of a result."""
+    return [(f"{name}:", getattr(result, name)) for name in names]
+
+
+def _run_rabi(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     p = cfg.params
     times = np.linspace(0.0, p["t_max_s"], p["n_times"])
     drive = dynamics.EffectiveDrive(kind=p["kind"], rabi_rad_s=p["omega_rad_s"])
@@ -113,44 +99,36 @@ def _run_rabi(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
     if p["noise_frac"] > 0:
         rng = substream(cfg.seed, "rabi-noise")
         pops = np.clip(pops + p["noise_frac"] * rng.standard_normal(pops.shape), 0.0, 1.0)
-    table = serialize.write_table(
+    yield "trajectory.csv", serialize.write_table(
+        "table",
         ["time_s", "p_d_m3_2", "p_d_m1_2", "p_d_p1_2", "p_d_p3_2"],
         [times] + [pops[:, i] for i in range(4)],
         cfg.config_hash,
         cfg.seed,
     )
-    paths = [_write(out, "trajectory.csv", table, quiet)]
     fit = dynamics.fit_rabi(times, pops, p["kind"], initial=start)
-    lines = serialize.header_lines("rabi-fit", cfg.config_hash, cfg.seed)
-    lines.append(f"kind: {p['kind']}")
-    lines.append(f"omega_rad_s: {serialize.fmt(fit.omega_rad_s)}")
-    lines.append(f"omega_err: {serialize.fmt(fit.omega_err)}")
-    lines.append(f"tau_s: {serialize.fmt(fit.tau_s)}")
-    lines.append(f"tau_err: {serialize.fmt(fit.tau_err)}")
-    lines.append(f"residual_rms: {serialize.fmt(fit.residual_rms)}")
-    lines.append(f"decay_free_bound: {fit.decay_free_bound}")
-    paths.append(_write(out, "rabi_fit.txt", "\n".join(lines) + "\n", quiet))
-    return paths
+    names = ("omega_rad_s", "omega_err", "tau_s", "tau_err", "residual_rms", "decay_free_bound")
+    fields = [("kind:", p["kind"])] + _fields(fit, names)
+    yield "rabi_fit.txt", serialize.write_record("rabi-fit", fields, cfg.config_hash, cfg.seed)
 
 
-def _run_synthprep(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
+def _run_synthprep(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     p = cfg.params
     schedule, state = dynamics.prepare_d1_by_rotation(p["omega_rad_s"], p["phi"])
     proj = dynamics.project_synth(state, p["phi"])
-    lines = serialize.header_lines("synthetic-preparation", cfg.config_hash, cfg.seed)
-    lines.append(f"drive_kind: {schedule.drive.kind}")
-    lines.append(f"rabi_rad_s: {serialize.fmt(schedule.drive.rabi_rad_s)}")
-    lines.append(f"drive_phase_rad: {serialize.fmt(schedule.drive.phase_rad)}")
-    lines.append(f"duration_s: {serialize.fmt(schedule.duration_s)}")
-    lines.append("state_re: " + " ".join(serialize.fmt(a) for a in state.real))
-    lines.append("state_im: " + " ".join(serialize.fmt(a) for a in state.imag))
-    lines.append(f"p_d1: {serialize.fmt(proj.p_d1)}")
-    lines.append(f"p_d2: {serialize.fmt(proj.p_d2)}")
-    lines.append(f"leakage: {serialize.fmt(proj.leakage)}")
-    return [_write(out, "synthprep.txt", "\n".join(lines) + "\n", quiet)]
+    fields = [
+        ("drive_kind:", schedule.drive.kind),
+        ("rabi_rad_s:", schedule.drive.rabi_rad_s),
+        ("drive_phase_rad:", schedule.drive.phase_rad),
+        ("duration_s:", schedule.duration_s),
+        ("state_re:", state.real),
+        ("state_im:", state.imag),
+    ] + _fields(proj, ("p_d1", "p_d2", "leakage"))
+    text = serialize.write_record("synthetic-preparation", fields, cfg.config_hash, cfg.seed)
+    yield "synthprep.txt", text
 
 
-def _run_stirap(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
+def _run_stirap(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     p = cfg.params
     res = dynamics.stirap_prepare(
         p["peak_pump_rad_s"],
@@ -160,18 +138,12 @@ def _run_stirap(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
         p["total_s"],
         steps=p["steps"],
     )
-    lines = serialize.header_lines("adiabatic-passage", cfg.config_hash, cfg.seed)
-    lines.append(f"fidelity: {serialize.fmt(res.fidelity)}")
-    lines.append(f"peak_p_population: {serialize.fmt(res.peak_p_population)}")
-    lines.append(f"loss: {serialize.fmt(res.loss)}")
-    lines.append(f"counterintuitive: {res.counterintuitive}")
-    lines.append(
-        "final_populations: " + " ".join(serialize.fmt(v) for v in res.final_populations)
-    )
-    return [_write(out, "stirap.txt", "\n".join(lines) + "\n", quiet)]
+    names = ("fidelity", "peak_p_population", "loss", "counterintuitive", "final_populations")
+    fields = _fields(res, names)
+    yield "stirap.txt", serialize.write_record("adiabatic-passage", fields, cfg.config_hash, cfg.seed)
 
 
-def _run_ramsey(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
+def _run_ramsey(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     p = cfg.params
     noise = ramsey.NoiseModel(
         sigma_b_mg=p["sigma_b_mg"], residual_rate_per_s=p["residual_rate_per_s"]
@@ -186,26 +158,20 @@ def _run_ramsey(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
         readout=p["readout"],
         fringe_detuning_hz=p["fringe_detuning_hz"],
     )
-    table = serialize.write_table(
+    yield "ramsey_scan.csv", serialize.write_table(
+        "table",
         ["delay_s", "probability", "contrast", "contrast_err"],
         [scan.delays_s, scan.probabilities, scan.contrast, scan.errors],
         cfg.config_hash,
         cfg.seed,
     )
-    paths = [_write(out, "ramsey_scan.csv", table, quiet)]
     fit = ramsey.fit_t2star(scan)
-    lines = serialize.header_lines("t2-fit", cfg.config_hash, cfg.seed)
-    lines.append(f"t2_s: {serialize.fmt(fit.t2_s)}")
-    lines.append(f"t2_err: {serialize.fmt(fit.t2_err)}")
-    lines.append(f"amplitude: {serialize.fmt(fit.amplitude)}")
-    lines.append(f"floor: {serialize.fmt(fit.floor)}")
-    lines.append(f"at_upper_bound: {fit.at_upper_bound}")
-    lines.append(f"at_lower_bound: {fit.at_lower_bound}")
-    paths.append(_write(out, "t2_fit.txt", "\n".join(lines) + "\n", quiet))
-    return paths
+    names = ("t2_s", "t2_err", "amplitude", "floor", "at_upper_bound", "at_lower_bound")
+    fields = _fields(fit, names)
+    yield "t2_fit.txt", serialize.write_record("t2-fit", fields, cfg.config_hash, cfg.seed)
 
 
-def _run_benchmark(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
+def _run_benchmark(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     p = cfg.params
     rows = ramsey.benchmark_suite(
         seed=cfg.seed,
@@ -213,19 +179,19 @@ def _run_benchmark(cfg: RunConfig, out: Path, quiet: bool) -> list[Path]:
         s_target_t2_s=p["s_target_t2_s"],
         synth_target_t2_s=p["synth_target_t2_s"],
     )
-    lines = serialize.header_lines("benchmark", cfg.config_hash, cfg.seed)
-    lines.append("qubit,sensitivity_khz_per_mg,t2_s,t2_err_s,unbounded")
-    for r in rows:
-        lines.append(
-            f"{r.label},{serialize.fmt(r.sensitivity_khz_per_mg)},"
-            f"{serialize.fmt(r.t2_s)},{serialize.fmt(r.t2_err)},{r.unbounded}"
-        )
-    return [_write(out, "benchmark.csv", "\n".join(lines) + "\n", quiet)]
+    names = ("label", "sensitivity_khz_per_mg", "t2_s", "t2_err", "unbounded")
+    yield "benchmark.csv", serialize.write_table(
+        "benchmark",
+        ["qubit", "sensitivity_khz_per_mg", "t2_s", "t2_err_s", "unbounded"],
+        [[getattr(r, name) for r in rows] for name in names],
+        cfg.config_hash,
+        cfg.seed,
+    )
 
 
 _RUNNERS = {
-    "detmatrix_s": lambda c, o, q: _run_detmatrix(c, o, q, "s"),
-    "detmatrix_d": lambda c, o, q: _run_detmatrix(c, o, q, "d"),
+    "detmatrix_s": lambda c: _run_detmatrix(c, "s"),
+    "detmatrix_d": lambda c: _run_detmatrix(c, "d"),
     "darkstates": _run_darkstates,
     "tomo": _run_tomo,
     "rabi": _run_rabi,
@@ -237,11 +203,17 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
-    """Dispatch one experiment; returns the written artifact paths."""
+    """Dispatch one experiment, writing each document as its runner yields it; returns the paths."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = [_write(out, "resolved.cfg", cfg.canonical_text(), quiet)]
-    paths += _RUNNERS[cfg.experiment](cfg, out, quiet)
+    paths = []
+    resolved = [("resolved.cfg", cfg.canonical_text())]
+    for name, text in itertools.chain(resolved, _RUNNERS[cfg.experiment](cfg)):
+        path = out / name
+        path.write_text(text)
+        if not quiet:
+            print(f"wrote {path}")
+        paths.append(path)
     if not quiet:
         print(f"config-hash: {cfg.config_hash}  seed: {cfg.seed}")
     return paths

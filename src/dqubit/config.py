@@ -65,10 +65,23 @@ _PARSERS: dict[str, Callable[[str], Any]] = {
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_TYPES: dict[str, Callable[[Any], bool]] = {
+    "int": lambda v: _is_number(v) and isinstance(v, int),
+    "float": _is_number,
+    "floats": lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
-    kind: str  # key into _PARSERS
+    kind: str  # key into _PARSERS and _TYPES
     default: Any
     check: Optional[Callable[[Any], bool]] = None
     help: str = ""
@@ -82,6 +95,8 @@ class ParamSpec:
         return val
 
     def validate(self, val: Any) -> None:
+        if not _TYPES[self.kind](val):
+            raise ConfigError(self.name, f"expected {self.kind}, got {val!r}")
         if self.check is not None and not self.check(val):
             raise ConfigError(self.name, f"{val!r} fails constraint ({self.help})")
 
@@ -232,23 +247,26 @@ class RunConfig:
 def load_config(path: str, experiment: Optional[str] = None) -> RunConfig:
     """Parse an INI config file into a RunConfig (before CLI overrides)."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError("config", f"cannot read config file {path!r}")
-    exp = experiment or cp.get("run", "experiment", fallback=None)
-    if exp is None:
-        raise ConfigError("experiment", "missing from [run] section and command line")
-    if exp not in EXPERIMENTS:
-        raise ConfigError("experiment", f"{exp!r} is not one of {sorted(EXPERIMENTS)}")
     try:
-        seed = cp.getint("run", "seed", fallback=0)
-    except ValueError:
-        raise ConfigError("seed", f"not an integer: {cp.get('run', 'seed')!r}") from None
-    spec = {p.name: p for p in EXPERIMENTS[exp]}
-    params: dict[str, Any] = {}
-    if cp.has_section("params"):
-        for key, raw in cp.items("params"):
-            if key not in spec:
-                raise ConfigError(key, "unknown parameter for this experiment")
-            params[key] = spec[key].parse(raw)
+        if not cp.read(path):
+            raise ConfigError("config", f"cannot read config file {path!r}")
+        exp = experiment or cp.get("run", "experiment", fallback=None)
+        if exp is None:
+            raise ConfigError("experiment", "missing from [run] section and command line")
+        if exp not in EXPERIMENTS:
+            raise ConfigError("experiment", f"{exp!r} is not one of {sorted(EXPERIMENTS)}")
+        try:
+            seed = cp.getint("run", "seed", fallback=0)
+        except ValueError:
+            raise ConfigError("seed", f"not an integer: {cp.get('run', 'seed')!r}") from None
+        spec = {p.name: p for p in EXPERIMENTS[exp]}
+        params: dict[str, Any] = {}
+        if cp.has_section("params"):
+            for key, raw in cp.items("params"):
+                if key not in spec:
+                    raise ConfigError(key, "unknown parameter for this experiment")
+                params[key] = spec[key].parse(raw)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # syntax errors name the duplicated or uninterpolatable key, else the file
+        raise ConfigError(getattr(exc, "option", None) or "config", str(exc)) from None
     return RunConfig(experiment=exp, seed=seed, params=params)

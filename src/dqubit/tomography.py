@@ -241,6 +241,21 @@ def solve_direct(
     )
 
 
+def _face_basis(free_d: list[int], cb_free: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(z0, T)`` with ``z = z0 + T y`` spanning the face: unit-sum populations on
+    ``free_d`` (the last one dependent) and the background if ``cb_free``."""
+    dep, red = free_d[-1], free_d[:-1]
+    z0 = np.zeros(5)
+    z0[dep] = 1.0
+    t = np.zeros((5, len(red) + int(cb_free)))
+    for ci, i in enumerate(red):
+        t[i, ci] = 1.0
+        t[dep, ci] = -1.0
+    if cb_free:
+        t[4, -1] = 1.0
+    return z0, t
+
+
 def _face_solution(
     aw: np.ndarray, nw: np.ndarray, pinned: tuple[int, ...]
 ) -> Optional[np.ndarray]:
@@ -252,25 +267,10 @@ def _face_solution(
     free_d = [i for i in range(4) if i not in pinned]
     if not free_d:
         return None
-    dep = free_d[-1]
-    red = [i for i in free_d[:-1]]
-    cb_free = 4 not in pinned
-    cols = red + ([4] if cb_free else [])
-
-    # z = z0 + T y, with z0 the dependent-population particular point
-    z0 = np.zeros(5)
-    z0[dep] = 1.0
-    t = np.zeros((5, len(cols)))
-    for ci, i in enumerate(red):
-        t[i, ci] = 1.0
-        t[dep, ci] = -1.0
-    if cb_free:
-        t[4, len(red)] = 1.0
-
+    z0, t = _face_basis(free_d, 4 not in pinned)
     if t.shape[1] == 0:
         return z0
-    rhs = nw - aw @ z0
-    y, *_ = np.linalg.lstsq(aw @ t, rhs, rcond=None)
+    y, *_ = np.linalg.lstsq(aw @ t, nw - aw @ z0, rcond=None)
     return z0 + t @ y
 
 
@@ -332,17 +332,9 @@ def solve_constrained(
     free_d = [i for i in range(4) if z[i] > 1e-10]
     cb_free = z[4] > 1e-10
     cov = np.zeros((5, 5))
-    if len(free_d) >= 1:
-        dep = free_d[-1]
-        red = free_d[:-1]
-        cols = red + ([4] if cb_free else [])
-        if cols:
-            t = np.zeros((5, len(cols)))
-            for ci, i in enumerate(red):
-                t[i, ci] = 1.0
-                t[dep, ci] = -1.0
-            if cb_free:
-                t[4, len(cols) - 1] = 1.0
+    if free_d:
+        _, t = _face_basis(free_d, cb_free)
+        if t.shape[1]:
             j = aw @ t
             try:
                 cov_red = np.linalg.inv(j.T @ j)

@@ -23,8 +23,20 @@ class TestRunConfig:
             RunConfig(experiment="detmatrix_s", params={"bogus": 1})
 
     def test_invalid_value_named(self):
-        with pytest.raises(ConfigError, match="trials"):
-            RunConfig(experiment="detmatrix_s", params={"trials": -5})
+        cases = [
+            ("detmatrix_s", "trials", -5),
+            ("detmatrix_d", "trials", 1.5),
+            ("ramsey", "shots", True),
+            ("detmatrix_d", "b_gauss", "2.2"),
+            ("rabi", "tau_s", False),
+            ("tomo", "populations", [0.25, 0.25, 0.25, 0.25]),
+            ("tomo", "populations", (0.25, 0.25, 0.25, "0.25")),
+            ("tomo", "scaled_background", 1),
+            ("detmatrix_d", "method", None),
+        ]
+        for experiment, key, value in cases:
+            with pytest.raises(ConfigError, match=key):
+                RunConfig(experiment=experiment, params={key: value})
 
     def test_canonical_text_is_stable(self):
         a = RunConfig(experiment="ramsey", seed=5, params={"shots": 100})
@@ -63,6 +75,24 @@ class TestRunConfig:
         path.write_text("[run]\nexperiment = ramsey\n\n[params]\nshots = lots\n")
         with pytest.raises(ConfigError, match="shots"):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "body,key",
+        [
+            (b"experiment = ramsey\n", "config"),
+            (b"[run]\nexperiment = ramsey\n\xff\n", "config"),
+            (b"[run]\nexperiment = ramsey\n\n[params]\nshots = 5\nshots = 6\n", "shots"),
+            (b"[run]\nexperiment = tomo\n\n[params]\nmatrix_source = 50%.txt\n", "matrix_source"),
+        ],
+        ids=["no-section-header", "not-utf8", "duplicated-key", "bad-interpolation"],
+    )
+    def test_config_syntax_error_names_key(self, tmp_path, capsys, body, key):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(str(path))
+        assert main(["ramsey", "--config", str(path), "--quiet"]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_bad_file_seed_names_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
