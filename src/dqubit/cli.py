@@ -228,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, specs in EXPERIMENTS.items():
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", metavar="PATH", help="INI config file")
-        sp.add_argument("--seed", type=int, metavar="N", help="RNG seed (64-bit)")
+        sp.add_argument("--seed", type=int, metavar="N", help="RNG seed, 0 <= N < 2**63")
         sp.add_argument("--out", metavar="DIR", default=None, help="output directory")
         sp.add_argument("--trials", type=int, metavar="N", help="override trial count")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")

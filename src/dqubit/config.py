@@ -223,6 +223,10 @@ class RunConfig:
         self.params = resolved
         if not isinstance(self.seed, int):
             raise ConfigError("seed", "must be an integer")
+        # 63-bit seeds leave room for the derived seeds of cells (seed + 1000*row + col)
+        # and Ramsey scans below 2**64, where Philox keys are distinct
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError("seed", f"{self.seed} is outside [0, 2**63)")
 
     def canonical_text(self) -> str:
         """Stable serialization of everything that determines the output."""

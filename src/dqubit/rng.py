@@ -3,6 +3,24 @@
 Every stochastic routine in the package draws from a Philox generator keyed
 by (seed, stream id).  Trial t of a Monte Carlo run uses key (seed, t), so
 results are independent of chunking, execution order and worker count.
+
+Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+easy as 1, 2, 3", SC'11) is a pure function of key and counter, so
+``uniform_table`` computes the draws of many trials at once, and any window
+of a trial's stream without the draws before it.  Uniform ``i`` of a stream
+is lane ``i % 4`` of the block at counter ``i // 4 + 1``, mapped to
+``(x >> 11) * 2**-53``: exactly what ``np.random.Philox(key=[seed, t])``
+followed by ``random()`` yields.
+
+Stream layout of one pumping trajectory (trial ``t`` of a cell seeded ``s``):
+
+* ``chain``: step ``k`` of the classical chain draws its excitation from
+  column ``2k`` and its decay from column ``2k + 1``.
+* ``jump``: the norm threshold of jump ``j`` (``j = 0 .. max_jumps``) is
+  column ``j``; the decay channel of jump ``j`` is column ``max_jumps + 1 + j``.
+
+Samplers fetch these columns in windows, for live trajectories only, so a
+trajectory costs the draws it uses rather than the whole stream.
 """
 from __future__ import annotations
 
@@ -11,6 +29,16 @@ import zlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+# Philox4x64 multipliers and Weyl key increments, as (2, 1, 1) columns that
+# pair with the stacked word pairs (w0, w2) and key words (k0, k1)
+_MULT = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1)
+_MULT_LO, _MULT_HI = _MULT & _LO32, _MULT >> _SHIFT32
+_WEYL = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(2, 1, 1)
+_ROUNDS = 10
+_CHUNK_BLOCKS = 8192
 
 
 def _stream_id(label) -> int:
@@ -21,12 +49,64 @@ def _stream_id(label) -> int:
 
 def substream(seed: int, label=0) -> np.random.Generator:
     """Generator for one named/indexed substream of ``seed``."""
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, _stream_id(label)]))
+    key = np.array([seed & _MASK64, _stream_id(label)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniform_table(seed: int, first_trial: int, n_trials: int, n_draws: int) -> np.ndarray:
-    """(n_trials, n_draws) uniforms; row i belongs to trial first_trial + i."""
-    out = np.empty((n_trials, n_draws))
-    for i in range(n_trials):
-        out[i] = substream(seed, first_trial + i).random(n_draws)
-    return out
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit words of the 128-bit products ``_MULT * x``, from 32-bit halves."""
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    t = x_hi * _MULT_LO + ((x_lo * _MULT_LO) >> _SHIFT32)
+    mid = x_lo * _MULT_HI + (t & _LO32)
+    return x_hi * _MULT_HI + (t >> _SHIFT32) + (mid >> _SHIFT32), x * _MULT
+
+
+def _philox_blocks(seed: int, trials: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 output words (n, k, 4) of keys (seed, trials) at counters (c, 0, 0, 0).
+
+    ``trials`` is (n, 1) and ``counters`` (n, k), both uint64.  The four words
+    are kept as two stacked pairs, ``x = (w0, w2)``, which a round multiplies,
+    and ``y = (w1, w3)``; one round is ``x, y = hi[::-1] ^ y ^ key, lo[::-1]``.
+    """
+    x = np.zeros((2,) + counters.shape, np.uint64)
+    x[0] = counters
+    y = np.zeros_like(x)
+    key = np.empty((2,) + trials.shape, np.uint64)
+    key[0], key[1] = seed, trials
+    for r in range(_ROUNDS):
+        if r:
+            key += _WEYL
+        hi, lo = _mulhilo(x)
+        x, y = hi[::-1] ^ y ^ key, lo[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]], axis=-1)
+
+
+def uniform_table(
+    seed: int,
+    first_trial: int,
+    n_trials: int,
+    n_draws: int,
+    first_draw=0,
+    rows=None,
+) -> np.ndarray:
+    """(n_trials, n_draws) uniforms: row i holds draws ``first_draw[i] ..`` of its trial.
+
+    Row i belongs to trial ``first_trial + rows[i]`` (``rows`` defaults to
+    ``0 .. n_trials-1``).  ``first_draw`` is one stream position for every
+    row or one per row.  Entry (i, j) equals draw ``first_draw[i] + j`` of
+    ``substream(seed, first_trial + rows[i]).random``.
+    """
+    offsets = np.arange(n_trials) if rows is None else np.asarray(rows)
+    trials = offsets.astype(np.uint64) + np.uint64(first_trial & _MASK64)
+    start = np.broadcast_to(np.asarray(first_draw, np.int64), (n_trials,))
+    lane = start % 4
+    n_blocks = (int(lane.max(initial=0)) + n_draws + 3) // 4
+    counters = ((start // 4 + 1)[:, None] + np.arange(n_blocks)).astype(np.uint64)
+    # row slices of at most _CHUNK_BLOCKS blocks keep the round temporaries in cache
+    step = max(1, _CHUNK_BLOCKS // max(n_blocks, 1))
+    words = np.empty((n_trials, n_blocks, 4), np.uint64)
+    for i in range(0, n_trials, step):
+        words[i : i + step] = _philox_blocks(seed & _MASK64, trials[i : i + step, None], counters[i : i + step])
+    words = words.reshape(n_trials, 4 * n_blocks)
+    words = np.take_along_axis(words, lane[:, None] + np.arange(n_draws), axis=1)
+    return (words >> _SHIFT11) * 2.0**-53

@@ -361,34 +361,46 @@ def chain_expected_counts(model: PumpModel, initial: ZeemanState) -> float:
     return float(n[_GROUND_INDEX[initial]])
 
 
+_CHAIN_WINDOW = 16  # chain steps of draws fetched per live trajectory at a time
+
+
 def _chain_sample_block(
     model: PumpModel, initial_idx: int, seed: int, first_trial: int, n: int, max_jumps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classical-chain sampling of n trajectories; returns (counts, capped)."""
+    """Classical-chain sampling of n trajectories; returns (counts, capped).
+
+    Step k of a trajectory uses draws 2k and 2k+1 of its stream; they are
+    fetched ``_CHAIN_WINDOW`` steps at a time for the trajectories still alive.
+    """
     lam = model._chain_rates
     tot = lam.sum(axis=1)
     exc_cum = np.cumsum(np.where(tot[:, None] > 0, lam / np.maximum(tot, 1e-300)[:, None], 0.5), axis=1)
     dec_cum = np.cumsum(model._decay_probs, axis=1)
-    u = uniform_table(seed, first_trial, n, 2 * max_jumps)
     state = np.full(n, initial_idx, dtype=np.int64)
     counts = np.zeros(n, dtype=np.int64)
     capped = np.zeros(n, dtype=bool)
-    alive = tot[state] > 0
+    live = np.nonzero(tot[state] > 0)[0]
     step = 0
-    while alive.any():
+    while live.size:
         if step >= max_jumps:
-            capped[alive] = True
+            capped[live] = True
             break
-        idx = np.nonzero(alive)[0]
-        e = (u[idx, 2 * step, None] > exc_cum[state[idx]]).sum(axis=1)
-        g = (u[idx, 2 * step + 1, None] > dec_cum[e]).sum(axis=1)
-        counts[idx] += (g < 2).astype(np.int64)
-        state[idx] = g
-        alive[idx] = tot[g] > 0
-        step += 1
+        width = min(_CHAIN_WINDOW, max_jumps - step)
+        u = uniform_table(seed, first_trial, live.size, 2 * width, 2 * step, live)
+        pos = np.arange(live.size)  # rows of u still alive
+        for k in range(width):
+            idx = live[pos]
+            e = (u[pos, 2 * k, None] > exc_cum[state[idx]]).sum(axis=1)
+            g = (u[pos, 2 * k + 1, None] > dec_cum[e]).sum(axis=1)
+            counts[idx] += (g < 2).astype(np.int64)
+            state[idx] = g
+            pos = pos[tot[g] > 0]
+        live = live[pos]
+        step += width
     return counts, capped
 
 
+_JUMP_WINDOW = 64  # jumps of threshold and channel draws fetched per trajectory at a time
 DARK_RATE_FRACTION = 1e-6  # dark: time-averaged rate below this share of the largest basis-state rate
 _DARK_CHECK_EVERY = 16  # fine steps between dark-termination checks
 _PERIOD_TOL = 1e-9  # cycles a generator frequency may miss a whole number by per period
@@ -517,14 +529,11 @@ class _Trajectories:
     def __init__(
         self, eng: _JumpEngine, initial_idx: int, seed: int, first_trial: int, n: int, max_jumps: int
     ):
-        table = uniform_table(seed, first_trial, n, 2 * max_jumps + 1)
-        self.u_thresh = table[:, : max_jumps + 1]
-        self.u_chan = table[:, max_jumps + 1 :]
         self.eng = eng
+        self.seed, self.first_trial = seed, first_trial
         self.max_jumps = max_jumps
         self.counts = np.zeros(n, np.int64)
         self.jumps = np.zeros(n, np.int64)
-        self.thresh = self.u_thresh[:, 0].copy()
         self.capped = np.zeros(n, bool)
         self.done = np.zeros(n, bool)
         psi = np.zeros((n, 6), complex)
@@ -533,6 +542,34 @@ class _Trajectories:
         self.dark(np.arange(n), psi)
         self.active = np.nonzero(~self.done)[0]
         self.psi = psi[self.active]  # initial states of the active rows
+        # per row, the threshold and channel draws of _JUMP_WINDOW jumps;
+        # col is the window column of the row's current jump
+        self.u_thresh = np.zeros((n, _JUMP_WINDOW))
+        self.u_chan = np.zeros((n, _JUMP_WINDOW))
+        self.col = np.zeros(n, np.int64)
+        if self.active.size:
+            self._fetch(self.active)
+        self.thresh = self.u_thresh[:, 0].copy()
+
+    def _fetch(self, rows: np.ndarray) -> None:
+        """Refill the rows' draw windows from their current jump on (column 0).
+
+        One table holds both streams: the rows' thresholds from column
+        ``jumps``, then the same rows' channels from column ``max_jumps + 1 + jumps``.
+        A window may run past its stream's last column; those draws are never read.
+        """
+        first = self.jumps[rows]
+        m = rows.size
+        u = uniform_table(
+            self.seed,
+            self.first_trial,
+            2 * m,
+            _JUMP_WINDOW,
+            np.concatenate([first, first + self.max_jumps + 1]),
+            np.concatenate([rows, rows]),
+        )
+        self.u_thresh[rows], self.u_chan[rows] = u[:m], u[m:]
+        self.col[rows] = 0
 
     def jump(self, rows: np.ndarray, psi: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Jump rows whose no-jump norm fell to their threshold at ``steps``.
@@ -553,14 +590,21 @@ class _Trajectories:
         )  # (m, colors*6, 6)
         rates = (posts.real**2 + posts.imag**2).sum(axis=2)
         cum = np.cumsum(rates, axis=1)
-        pick = (self.u_chan[glob, self.jumps[glob], None] * cum[:, -1:] > cum).sum(axis=1)
+        col = self.col[glob]
+        pick = (self.u_chan[glob, col, None] * cum[:, -1:] > cum).sum(axis=1)
         pick = np.minimum(pick, rates.shape[1] - 1)
         new_psi = posts[np.arange(go.size), pick]
         psi = psi.copy()
         psi[go] = new_psi / np.linalg.norm(new_psi, axis=1)[:, None]
         self.counts[glob] += _CHANNEL_IS_S[pick % 6]
         self.jumps[glob] += 1
-        self.thresh[glob] = self.u_thresh[glob, self.jumps[glob]]
+        col += 1
+        self.col[glob] = col
+        spent = col == _JUMP_WINDOW
+        if spent.any():
+            self._fetch(glob[spent])
+            col[spent] = 0
+        self.thresh[glob] = self.u_thresh[glob, col]
         return psi
 
     def dark(self, rows: np.ndarray, psi: np.ndarray) -> None:
@@ -739,6 +783,8 @@ class DetectionMatrix:
     def __post_init__(self) -> None:
         if self.means.shape != (len(self.row_labels), len(self.col_labels)):
             raise ValueError("matrix shape does not match labels")
+        if not (np.isfinite(self.means).all() and np.isfinite(self.sems).all()):
+            raise ValueError("photon-count means and SEMs must be finite")
         if (self.means < 0).any():
             raise ValueError("photon-count means must be nonnegative")
 

@@ -98,7 +98,10 @@ def parse_detection_matrix(text: str) -> DetectionMatrix:
                 raise ValueError(
                     f"{kind} line of row {r!r} has {len(words)} values for {len(cols)} columns"
                 )
-            table.append([float(v) for v in words])
+            values = [float(v) for v in words]
+            if not np.isfinite(values).all():
+                raise ValueError(f"{kind} line of row {r!r} has a non-finite value")
+            table.append(values)
     return DetectionMatrix(
         row_labels=tuple(rows),
         col_labels=tuple(cols),

@@ -172,6 +172,36 @@ class TestCliProcess:
         err = capsys.readouterr().err
         assert "'matrix_source'" in err and "sigma+pi" in err
 
+    def test_non_finite_matrix_source_names_key_and_row(self, tmp_path, capsys):
+        rc = main(["detmatrix_d", "--trials", "2", "--out", str(tmp_path / "m"), "--quiet"])
+        assert rc == 0
+        text = (tmp_path / "m" / "detmatrix_d.txt").read_text()
+        line = next(l for l in text.splitlines() if l.startswith("mean sigma+ "))
+        bad = tmp_path / "nan.txt"
+        bad.write_text(text.replace(line, "mean sigma+ nan " + line.split(" ", 3)[3]))
+        cfg_path = tmp_path / "tomo.cfg"
+        cfg_path.write_text(f"[run]\nexperiment = tomo\n\n[params]\nmatrix_source = {bad}\n")
+        rc = main(["tomo", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'matrix_source'" in err and "'sigma+'" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("seed", [-3, 2**63])
+    def test_seed_outside_63_bits_names_key(self, tmp_path, capsys, seed):
+        rc = main(["detmatrix_s", "--seed", str(seed), "--trials", "5", "--out", str(tmp_path), "--quiet"])
+        assert rc == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "detmatrix_s.txt").exists()
+        cfg_path = tmp_path / "seed.cfg"
+        cfg_path.write_text(f"[run]\nexperiment = detmatrix_s\nseed = {seed}\n")
+        with pytest.raises(ConfigError, match="'seed'"):
+            load_config(str(cfg_path))
+
+    def test_largest_seed_runs(self, tmp_path):
+        rc = main(["detmatrix_s", "--seed", str(2**63 - 1), "--trials", "5", "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        assert f"seed: {2**63 - 1}" in (tmp_path / "detmatrix_s.txt").read_text()
+
     def test_config_file_drives_run(self, tmp_path):
         cfg_path = tmp_path / "my.cfg"
         cfg_path.write_text(

@@ -114,6 +114,20 @@ def test_short_matrix_line_names_row(matrix):
         parse_detection_matrix(text)
 
 
+@pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+def test_non_finite_matrix_entry_names_row(matrix, word):
+    text = write_detection_matrix(matrix).replace("sem pi 0.01 ", f"sem pi {word} ")
+    with pytest.raises(ValueError, match="sem line of row 'pi' has a non-finite value"):
+        parse_detection_matrix(text)
+
+
+def test_detection_matrix_rejects_non_finite_entries(matrix):
+    means = matrix.means.copy()
+    means[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        DetectionMatrix(matrix.row_labels, matrix.col_labels, means, matrix.sems, 1, 0)
+
+
 # --- the exact text of every document type -------------------------------
 # Hand-made result objects, no simulation: the bytes depend only on the
 # writers, and pin the record format the CLI has always emitted.
