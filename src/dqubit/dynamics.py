@@ -6,7 +6,8 @@ Effective two-photon drives couple either adjacent Zeeman levels
 magnetically insensitive qubit states built from superpositions across the
 two pair submanifolds, their preparation by rotation or by adiabatic passage
 through the P level, projection-based readout, and least-squares fitting of
-measured population trajectories.
+measured population trajectories.  ``scipy.optimize`` loads at the first fit,
+so processes that never fit do not pay for its import.
 
 Quartet basis order everywhere: (d-3/2, d-1/2, d+1/2, d+3/2).
 """
@@ -15,10 +16,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .atom import BA138, AtomConstants, JZ_QUARTET
 from .linalg import expm
@@ -378,9 +378,6 @@ class ProjectionResult:
     leakage: Optional[float]
     population_rule: bool  # True when inferred from populations alone
 
-    def astuple(self) -> tuple:
-        return (self.p_d1, self.p_d2, self.leakage)
-
 
 def project_synth(state_or_populations, phi: float = math.pi) -> ProjectionResult:
     """Populations of the two synthetic qubit states.
@@ -409,6 +406,50 @@ def project_synth(state_or_populations, phi: float = math.pi) -> ProjectionResul
     )
 
 
+@dataclass(frozen=True)
+class _LeastSquaresFit:
+    """Best start of a multi-start least-squares fit, in numpy and Python values."""
+
+    x: np.ndarray
+    cov: np.ndarray  # 2 cost / dof (J^T J)^-1, NaN where J^T J is singular
+    cost: float  # half the sum of squared residuals
+    nfev: int
+    start: int  # index of the winning start, counted across all groups
+
+
+def _fit_least_squares(resid, start_groups, bounds, name: str, stop_cost: float = 0.0) -> _LeastSquaresFit:
+    """Bounded least squares from each start in turn, keeping the strictly lowest finite cost.
+
+    Starts come in groups; after a whole group the search stops early once the
+    best cost is below ``stop_cost``.  A start whose solve raises ValueError
+    (an infeasible or non-finite start, or a LinAlgError) is skipped; any
+    other exception propagates.  Raises FitFailureError when no start returns
+    a finite cost.
+    """
+    from scipy.optimize import least_squares
+
+    best, best_start, tried = None, -1, 0
+    for group in start_groups:
+        for x0 in group:
+            tried += 1
+            try:
+                sol = least_squares(resid, x0=x0, bounds=bounds, xtol=1e-14, ftol=1e-14)
+            except ValueError:
+                continue
+            if np.isfinite(sol.cost) and (best is None or sol.cost < best.cost):
+                best, best_start = sol, tried - 1
+        if best is not None and best.cost < stop_cost:
+            break
+    if best is None:
+        raise FitFailureError(f"{name} did not converge: no finite cost from {tried} seeded starts")
+    dof = max(best.fun.size - best.x.size, 1)
+    try:
+        cov = 2 * best.cost / dof * np.linalg.inv(best.jac.T @ best.jac)
+    except np.linalg.LinAlgError:
+        cov = np.full((best.x.size, best.x.size), np.nan)
+    return _LeastSquaresFit(x=best.x, cov=cov, cost=float(best.cost), nfev=int(best.nfev), start=best_start)
+
+
 @dataclass
 class RabiFit:
     """Fitted drive parameters of a population time series."""
@@ -433,14 +474,14 @@ def fit_rabi(
     populations: np.ndarray,
     kind: str,
     initial=None,
-    max_restarts: int = 6,
 ) -> RabiFit:
     """Least-squares fit of (Rabi frequency, decay time) to population data.
 
     ``populations`` is (n_times, 4).  The initial state defaults to the
     diagonal density built from the first sample.  Candidate frequencies are
     seeded from the discrete spectrum of the dominant population trace, so the
-    fit is deterministic for fixed data.
+    fit is deterministic for fixed data.  Both decay seeds of a frequency seed
+    run before the search stops early on an exact fit.
     """
     times = np.asarray(times_s, dtype=float)
     pops = np.asarray(populations, dtype=float)
@@ -481,48 +522,19 @@ def fit_rabi(
     def resid(p):
         return (_rabi_model(times, p[0], p[1], kind, initial) - pops).ravel()
 
-    best = None
-    tried = 0
-    for og in omega_seeds:
-        for gg in gamma_seeds:
-            if tried >= max_restarts + len(omega_seeds):
-                break
-            tried += 1
-            try:
-                sol = least_squares(
-                    resid, x0=[og, max(gg, 0.0)], bounds=bounds, xtol=1e-14, ftol=1e-14
-                )
-            except Exception:
-                continue
-            if best is None or sol.cost < best.cost:
-                best = sol
-        if best is not None and best.cost < 1e-18:
-            break
-    if best is None or not np.isfinite(best.cost):
-        raise FitFailureError(
-            f"Rabi fit did not converge after {tried} seeded starts; "
-            f"best cost: {None if best is None else best.cost}"
-        )
-
+    starts = [[[og, max(gg, 0.0)] for gg in gamma_seeds] for og in omega_seeds]
+    best = _fit_least_squares(resid, starts, bounds, "Rabi fit", stop_cost=1e-18)
     omega, gamma = best.x
-    n, p = pops.size, 2
-    dof = max(n - p, 1)
-    sigma2 = 2 * best.cost / dof
-    jtj = best.jac.T @ best.jac
-    try:
-        cov = sigma2 * np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        cov = np.full((2, 2), np.nan)
     # decay below 0.01% over the whole window is indistinguishable from none
     gamma_tiny = gamma <= bounds[0][1] + 1e-12 or gamma * span < 1e-4
     tau = math.inf if gamma_tiny else 1.0 / gamma
-    tau_err = math.nan if gamma_tiny else math.sqrt(max(cov[1, 1], 0.0)) / gamma**2
+    tau_err = math.nan if gamma_tiny else math.sqrt(max(best.cov[1, 1], 0.0)) / gamma**2
     return RabiFit(
         omega_rad_s=float(omega),
-        omega_err=float(math.sqrt(max(cov[0, 0], 0.0))),
+        omega_err=float(math.sqrt(max(best.cov[0, 0], 0.0))),
         tau_s=tau,
         tau_err=tau_err,
-        covariance=cov,
-        residual_rms=float(math.sqrt(2 * best.cost / n)),
+        covariance=best.cov,
+        residual_rms=float(math.sqrt(2 * best.cost / pops.size)),
         decay_free_bound=bool(gamma_tiny),
     )

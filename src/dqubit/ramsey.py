@@ -6,7 +6,7 @@ dephasing rate that acts on every qubit regardless of its field sensitivity
 (the stand-in for second-order shifts, drive phase noise and leakage).  For
 quasi-static Gaussian noise the Ramsey envelope is Gaussian,
 exp(-(t/T2)^2) with T2 = sqrt(2) / (2 pi s sigma_B), which is what the
-calibration helpers invert.
+calibration helpers invert.  ``scipy.optimize`` loads at the first T2* fit.
 """
 from __future__ import annotations
 
@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .dynamics import FitFailureError
+from .dynamics import FitFailureError, _fit_least_squares
 from .rng import substream
 
 __all__ = [
@@ -209,36 +208,19 @@ def fit_t2star(scan: RamseyScan) -> T2Fit:
     t2_0 = t[below[0]] if below.size else t[-1]
     t2_0 = min(max(t2_0, lo * 2), hi / 2)
 
-    best = None
-    for t2_seed in (t2_0, 0.5 * t2_0, 2.0 * t2_0):
-        sol = least_squares(
-            resid,
-            x0=[a0, t2_seed, 0.0],
-            bounds=([0.0, lo, -0.5], [1.5, hi, 0.5]),
-            xtol=1e-14,
-            ftol=1e-14,
-        )
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None or not np.isfinite(best.cost):
-        raise FitFailureError("coherence-time fit did not converge")
+    starts = [[[a0, t2_seed, 0.0] for t2_seed in (t2_0, 0.5 * t2_0, 2.0 * t2_0)]]
+    best = _fit_least_squares(resid, starts, ([0.0, lo, -0.5], [1.5, hi, 0.5]), "coherence-time fit")
     a, t2, c0 = best.x
-    dof = max(t.size - 3, 1)
-    sigma2 = 2 * best.cost / dof
-    try:
-        cov = sigma2 * np.linalg.inv(best.jac.T @ best.jac)
-    except np.linalg.LinAlgError:
-        cov = np.full((3, 3), np.nan)
     at_hi = t2 >= hi * (1 - 1e-6)
     at_lo = t2 <= lo * (1 + 1e-6) or a < 0.1  # no measurable contrast decay shape
     return T2Fit(
         t2_s=float(t2),
-        t2_err=float(math.sqrt(max(cov[1, 1], 0.0))),
+        t2_err=float(math.sqrt(max(best.cov[1, 1], 0.0))),
         amplitude=float(a),
         floor=float(c0),
         at_upper_bound=bool(at_hi),
         at_lower_bound=bool(at_lo),
-        covariance=cov,
+        covariance=best.cov,
     )
 
 

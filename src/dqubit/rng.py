@@ -42,8 +42,8 @@ _CHUNK_BLOCKS = 8192
 
 
 def _stream_id(label) -> int:
-    if isinstance(label, int):
-        return label & _MASK64
+    if isinstance(label, (int, np.integer)):
+        return int(label) & _MASK64
     return zlib.crc32(str(label).encode()) & _MASK64
 
 

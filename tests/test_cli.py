@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -234,3 +237,13 @@ class TestRunApi:
         paths = run(cfg, quiet=True)
         assert all(Path(p).exists() for p in paths)
         assert any(p.name == "resolved.cfg" for p in paths)
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, dqubit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

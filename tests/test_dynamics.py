@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from dqubit import dynamics
 from dqubit.atom import jz_expectation
 from dqubit.dynamics import (
     DecayModel,
     EffectiveDrive,
     FitFailureError,
     NO_DECAY,
+    _fit_least_squares,
     drive_hamiltonian,
     evolve,
     fit_rabi,
@@ -343,3 +346,78 @@ class TestFitRabi:
         times, pops = self.make_data("dm1", OMEGA_LADDER, math.inf, n=60)
         with pytest.raises(ValueError):
             fit_rabi(times[:5], pops[:5], "dm1")
+
+    def test_programming_error_in_the_model_propagates(self, monkeypatch):
+        times, pops = self.make_data("dm1", OMEGA_LADDER, math.inf)
+
+        def broken_evolve(*args, **kwargs):
+            raise TypeError("broken model")
+
+        monkeypatch.setattr(dynamics, "evolve", broken_evolve)
+        with pytest.raises(TypeError, match="broken model"):
+            fit_rabi(times, pops, "dm1", initial=EDGE_TOP)
+
+
+UNBOUNDED = (-np.inf, np.inf)
+
+
+class TestLeastSquaresDriver:
+    def test_linear_model_matches_normal_equations(self):
+        # small coefficients keep the finite-difference Jacobian exact to ~1e-12
+        rng = np.random.default_rng(0)
+        t = np.linspace(0.0, 1.0, 40)
+        a = np.stack([np.ones_like(t), t, t**2], axis=1)
+        y = a @ [2e-4, -1e-4, 3e-4] + 1e-4 * rng.standard_normal(t.size)
+        fit = _fit_least_squares(lambda p: a @ p - y, [[[0.0, 0.0, 0.0]]], UNBOUNDED, "linear fit")
+        x, *_ = np.linalg.lstsq(a, y, rcond=None)
+        r = a @ x - y
+        assert np.allclose(fit.x, x, rtol=1e-9, atol=0.0)
+        assert fit.cost == pytest.approx(0.5 * r @ r, rel=1e-12)
+        expected = (r @ r) / (t.size - 3) * np.linalg.inv(a.T @ a)
+        assert np.allclose(fit.cov, expected, rtol=1e-10, atol=0.0)
+        assert fit.start == 0 and fit.nfev >= 1
+        assert isinstance(fit.cost, float) and isinstance(fit.nfev, int)
+
+    def test_keeps_the_strictly_lowest_cost_start(self):
+        # distinct local minima near -pi/2, 3pi/2 and pi/2 (lowest); the repeated start ties it
+        def resid(p):
+            return np.array([math.cos(p[0]), 0.3 * (p[0] - 1.0)])
+
+        starts = [[-1.5], [4.7], [1.6], [1.6]]
+        costs = [least_squares(resid, x0=x0, xtol=1e-14, ftol=1e-14).cost for x0 in starts]
+        fit = _fit_least_squares(resid, [starts], UNBOUNDED, "cosine fit")
+        assert fit.start == 2
+        assert fit.cost == min(costs)
+        assert fit.x[0] == pytest.approx(math.pi / 2, abs=0.1)
+
+    def test_early_stop_waits_for_the_whole_group(self):
+        seen = []
+
+        def resid(p):
+            seen.append(float(p[0]))
+            return np.array([p[0] - 2.0])
+
+        _fit_least_squares(resid, [[[2.0], [5.0]], [[99.0]]], UNBOUNDED, "exact fit", stop_cost=1e-18)
+        assert 5.0 in seen and 99.0 not in seen
+        seen.clear()
+        _fit_least_squares(resid, [[[2.0], [5.0]], [[99.0]]], UNBOUNDED, "exact fit")
+        assert 99.0 in seen
+
+    def test_start_raising_value_error_is_skipped(self):
+        def resid(p):
+            if p[0] < 0:
+                raise ValueError("infeasible start")
+            return np.array([p[0] - 3.0, 0.5 * (p[0] - 3.0)])
+
+        fit = _fit_least_squares(resid, [[[-1.0], [1.0]]], UNBOUNDED, "skip fit")
+        assert fit.start == 1
+        assert fit.x[0] == pytest.approx(3.0, abs=1e-9)
+        with pytest.raises(FitFailureError, match="skip fit did not converge: no finite cost from 2 seeded starts"):
+            _fit_least_squares(resid, [[[-1.0], [-2.0]]], UNBOUNDED, "skip fit")
+
+    def test_residual_raising_type_error_propagates(self):
+        def resid(p):
+            raise TypeError("not a value problem")
+
+        with pytest.raises(TypeError, match="not a value problem"):
+            _fit_least_squares(resid, [[[1.0], [2.0]]], UNBOUNDED, "broken fit")

@@ -41,3 +41,10 @@ def test_substream_keys_large_seeds_exactly():
     b = substream(2**63 + 8).random(4)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, philox_draws(2**63 + 5, 0, 0, 4))
+
+
+def test_numpy_integer_labels_are_the_int_streams():
+    ref = substream(11, 5).random(4)
+    for label in (np.int64(5), np.uint64(5), np.int32(5)):
+        assert np.array_equal(substream(11, label).random(4), ref)
+    assert np.array_equal(substream(11, np.int64(-1)).random(4), substream(11, 2**64 - 1).random(4))
