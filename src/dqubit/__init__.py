@@ -4,6 +4,8 @@ detection, population tomography, coherent quartet rotations, synthetic
 field-insensitive qubit construction, and Ramsey coherence analysis under
 magnetic noise.
 """
+__version__ = "0.2.0"  # part of every config hash: outputs may change between versions
+
 from .atom import (
     BA138,
     AtomConstants,
@@ -62,4 +64,3 @@ from .tomography import (
     synth_counts,
 )
 
-__version__ = "0.1.0"

@@ -13,8 +13,8 @@ plain-text key-value files with two sections::
 
 Unknown or ill-typed keys fail validation with the offending key named.
 The config hash covers the canonical serialization of everything that
-affects numeric output (not the output directory), so identical hashes
-certify identical payloads.
+affects numeric output (not the output directory), the package version
+included, so identical hashes certify identical payloads.
 """
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ import io
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
+
+from . import __version__
 
 __all__ = ["ConfigError", "ParamSpec", "RunConfig", "EXPERIMENTS", "load_config"]
 
@@ -229,9 +231,14 @@ class RunConfig:
             raise ConfigError("seed", f"{self.seed} is outside [0, 2**63)")
 
     def canonical_text(self) -> str:
-        """Stable serialization of everything that determines the output."""
+        """Stable serialization of everything that determines the output.
+
+        The first line, a comment to the config parser, names the package
+        version, so the config hash changes when the code that computes the
+        outputs does.
+        """
         buf = io.StringIO()
-        buf.write("[run]\n")
+        buf.write(f"# dqubit {__version__}\n[run]\n")
         buf.write(f"experiment = {self.experiment}\n")
         buf.write(f"seed = {self.seed}\n\n[params]\n")
         for k in sorted(self.params):

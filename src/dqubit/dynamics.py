@@ -6,8 +6,11 @@ Effective two-photon drives couple either adjacent Zeeman levels
 magnetically insensitive qubit states built from superpositions across the
 two pair submanifolds, their preparation by rotation or by adiabatic passage
 through the P level, projection-based readout, and least-squares fitting of
-measured population trajectories.  ``scipy.optimize`` loads at the first fit,
-so processes that never fit do not pay for its import.
+measured population trajectories.  The Rabi fit evaluates a closed-form model
+(one eigendecomposition of the unit drive per fit) with analytic derivatives
+in a bounded Levenberg-Marquardt search, written in numpy alone.  Its
+frequency is bounded at the fold point of the time grid, above which a
+uniformly sampled trace repeats exactly.
 
 Quartet basis order everywhere: (d-3/2, d-1/2, d+1/2, d+3/2).
 """
@@ -417,37 +420,95 @@ class _LeastSquaresFit:
     start: int  # index of the winning start, counted across all groups
 
 
-def _fit_least_squares(resid, start_groups, bounds, name: str, stop_cost: float = 0.0) -> _LeastSquaresFit:
+def _covariance(jac: np.ndarray, cost: float) -> np.ndarray:
+    """2 cost / dof (J^T J)^-1 with dof = max(n_resid - n_params, 1); NaN where J^T J is singular."""
+    n, k = jac.shape
+    try:
+        return 2 * cost / max(n - k, 1) * np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        return np.full((k, k), np.nan)
+
+
+def _levenberg_marquardt(fun, x0, lo, hi, tol: float = 1e-14):
+    """Bounded Levenberg-Marquardt from one start; returns (x, cost, jac, nfev).
+
+    ``fun(x)`` returns the residual vector and its Jacobian.  Steps solve
+    (J^T J + mu diag(J^T J)) dx = -J^T r (Marquardt's scaling) with Nielsen's
+    damping update.  A variable at a bound whose gradient points out of the
+    box is held for the step, and every trial point is clipped into the box.
+    Stops when a step would move no variable by more than ``tol`` relative,
+    when two accepted steps in a row each lower the cost by at most ``tol``
+    relative (one such step can still leave the parameters far from
+    converged), or after 100 evaluations per variable.  Raises ValueError for a start outside
+    the bounds or with non-finite residuals.
+    """
+    x = np.array(x0, dtype=float)
+    if not ((lo <= x) & (x <= hi)).all():
+        raise ValueError("start lies outside the bounds")
+    r, jac = fun(x)
+    if not np.isfinite(r).all():
+        raise ValueError("residuals are not finite at the start")
+    cost = 0.5 * (r @ r)
+    nfev, mu, nu, stalled = 1, 1e-3, 2.0, 0
+    while nfev < 100 * x.size and cost > 0:
+        grad = jac.T @ r
+        jtj = jac.T @ jac
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        diag = jtj.diagonal()
+        lhs = jtj + mu * np.diag(np.where(diag > 0, diag, 1.0))
+        step = np.zeros_like(x)
+        step[free] = -np.linalg.solve(lhs[free][:, free], grad[free])
+        trial = np.clip(x + step, lo, hi)
+        s = trial - x
+        if (np.abs(s) <= tol * (tol + np.abs(x))).all():
+            break
+        r_new, jac_new = fun(trial)
+        nfev += 1
+        # the cost change as a sum of products of differences keeps the digits
+        # that cost - cost_new would cancel when the cost cannot reach zero
+        gain = 0.5 * ((r - r_new) @ (r + r_new)) if np.isfinite(r_new).all() else -math.inf
+        js = jac @ s
+        predicted = -(grad @ s + 0.5 * (js @ js))
+        if gain > 0:
+            rho = gain / predicted if predicted > 0 else 0.0
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+            stalled = stalled + 1 if gain <= tol * cost else 0
+            x, r, jac, cost = trial, r_new, jac_new, 0.5 * (r_new @ r_new)
+            if stalled == 2:
+                break
+        else:
+            mu *= nu
+            nu *= 2.0
+    return x, cost, jac, nfev
+
+
+def _fit_least_squares(fun, start_groups, bounds, name: str, stop_cost: float = 0.0) -> _LeastSquaresFit:
     """Bounded least squares from each start in turn, keeping the strictly lowest finite cost.
 
-    Starts come in groups; after a whole group the search stops early once the
-    best cost is below ``stop_cost``.  A start whose solve raises ValueError
-    (an infeasible or non-finite start, or a LinAlgError) is skipped; any
-    other exception propagates.  Raises FitFailureError when no start returns
-    a finite cost.
+    ``fun(x)`` returns ``(residuals, jacobian)``.  Starts come in groups;
+    after a whole group the search stops early once the best cost is below
+    ``stop_cost``.  A start whose solve raises ValueError (an infeasible or
+    non-finite start, or a LinAlgError) is skipped; any other exception
+    propagates.  Raises FitFailureError when no start returns a finite cost.
     """
-    from scipy.optimize import least_squares
-
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     best, best_start, tried = None, -1, 0
     for group in start_groups:
         for x0 in group:
             tried += 1
             try:
-                sol = least_squares(resid, x0=x0, bounds=bounds, xtol=1e-14, ftol=1e-14)
+                sol = _levenberg_marquardt(fun, x0, lo, hi)  # (x, cost, jac, nfev)
             except ValueError:
                 continue
-            if np.isfinite(sol.cost) and (best is None or sol.cost < best.cost):
+            if np.isfinite(sol[1]) and (best is None or sol[1] < best[1]):
                 best, best_start = sol, tried - 1
-        if best is not None and best.cost < stop_cost:
+        if best is not None and best[1] < stop_cost:
             break
     if best is None:
         raise FitFailureError(f"{name} did not converge: no finite cost from {tried} seeded starts")
-    dof = max(best.fun.size - best.x.size, 1)
-    try:
-        cov = 2 * best.cost / dof * np.linalg.inv(best.jac.T @ best.jac)
-    except np.linalg.LinAlgError:
-        cov = np.full((best.x.size, best.x.size), np.nan)
-    return _LeastSquaresFit(x=best.x, cov=cov, cost=float(best.cost), nfev=int(best.nfev), start=best_start)
+    x, cost, jac, nfev = best
+    return _LeastSquaresFit(x=x, cov=_covariance(jac, cost), cost=float(cost), nfev=nfev, start=best_start)
 
 
 @dataclass
@@ -463,10 +524,40 @@ class RabiFit:
     decay_free_bound: bool
 
 
-def _rabi_model(times: np.ndarray, omega: float, gamma: float, kind: str, initial) -> np.ndarray:
-    drive = EffectiveDrive(kind=kind, rabi_rad_s=omega)
-    decay = DecayModel(tau_s=math.inf if gamma <= 0 else 1.0 / gamma)
-    return evolve(initial, drive, decay, times).populations
+def _rabi_closed_form(times: np.ndarray, kind: str, initial):
+    """Closed-form populations of a drive of unknown frequency and decay rate.
+
+    With the unit drive H1 = V diag(lam) V^dag and rho0 the initial density,
+    the populations at Rabi frequency omega and decay rate gamma are
+    p_m(t) = e^{-gamma t} Re sum_jk M_mjk e^{-i (lam_j - lam_k) omega t}
+    + (1 - e^{-gamma t}) / 4 with M_mjk = V_mj (V^dag rho0 V)_jk V*_mk, the
+    populations ``evolve`` returns.  Returns ``(model, base)``:
+    ``model(omega, gamma)`` gives the (n_times, 4) populations and their
+    derivatives in omega and gamma, and ``base`` is the smallest nonzero
+    eigenvalue gap of H1, of which every other gap is an integer multiple.
+    """
+    evals, vecs = np.linalg.eigh(drive_hamiltonian(EffectiveDrive(kind=kind, rabi_rad_s=1.0)))
+    state, density = _as_state(initial)
+    rho = state if density else np.outer(state, state.conj())
+    terms = np.einsum("mj,jk,mk->jkm", vecs, vecs.conj().T @ rho @ vecs, vecs.conj()).reshape(16, 4)
+    gaps = (evals[:, None] - evals[None, :]).ravel()
+    base = float(gaps[gaps > 1e-9 * gaps.max()].min())
+    # terms of equal gap add up: one weight per harmonic -top..top of base * omega
+    orders = np.rint(gaps / base).astype(int)
+    top = int(orders.max())
+    weights = np.zeros((2 * top + 1, 4), complex)
+    np.add.at(weights, orders + top, terms)
+    rates = np.outer(times, base * np.arange(-top, top + 1))  # d(phase) / d(omega) per harmonic
+
+    def model(omega: float, gamma: float):
+        phases = np.exp(-1j * omega * rates)
+        coherent = (phases @ weights).real
+        d_coherent = ((-1j * rates * phases) @ weights).real
+        decay = np.exp(-gamma * times)[:, None]
+        pops = decay * coherent + (1.0 - decay) / 4.0
+        return pops, decay * d_coherent, -times[:, None] * decay * (coherent - 0.25)
+
+    return model, base
 
 
 def fit_rabi(
@@ -480,8 +571,11 @@ def fit_rabi(
     ``populations`` is (n_times, 4).  The initial state defaults to the
     diagonal density built from the first sample.  Candidate frequencies are
     seeded from the discrete spectrum of the dominant population trace, so the
-    fit is deterministic for fixed data.  Both decay seeds of a frequency seed
-    run before the search stops early on an exact fit.
+    fit is deterministic for fixed data.  The frequency is bounded at the fold
+    point pi / (base dt_min) of the time grid (``base`` as in
+    ``_rabi_closed_form``, dt_min its shortest step), and seeds above it are
+    clipped to it.  Both decay seeds of a frequency seed run before the search
+    stops early on an exact fit.
     """
     times = np.asarray(times_s, dtype=float)
     pops = np.asarray(populations, dtype=float)
@@ -491,6 +585,10 @@ def fit_rabi(
         raise ValueError("populations must have shape (n_times, 4)")
     if kind not in ("dm1", "dm2"):
         raise ValueError("drive kind must be 'dm1' or 'dm2'")
+    steps = np.diff(times)
+    if times[0] < 0 or (steps < 0).any() or not times[-1] > times[0]:
+        raise ValueError("times must be nonnegative, ascending and span a positive interval")
+    span = times[-1] - times[0]
 
     if initial is None:
         p0 = np.clip(pops[0], 0.0, None)
@@ -503,6 +601,10 @@ def fit_rabi(
             "population traces are constant; Rabi frequency is unidentifiable "
             "(drive is effectively off)"
         )
+    model, base = _rabi_closed_form(times, kind, initial)
+    # every frequency of the model is an integer multiple of base * omega, so on a
+    # uniform grid omega and 2 pi / (base dt) - omega give the same samples
+    omega_max = math.pi / (base * steps[steps > 0].min())
 
     # frequency seeds from the dominant trace's spectrum
     trace = pops[:, int(np.argmax(pops.std(axis=0)))]
@@ -511,18 +613,16 @@ def fit_rabi(
     spec = np.abs(np.fft.rfft(resampled - resampled.mean()))
     freqs = np.fft.rfftfreq(uniform.size, uniform[1] - uniform[0])
     f_peak = freqs[1:][int(np.argmax(spec[1:]))]
-    w_peak = 2 * math.pi * max(f_peak, 1.0 / (times[-1] - times[0]))
-    scale = math.sqrt(18.0) if kind == "dm1" else 1.0
-    omega_seeds = [scale * w_peak * m for m in (1.0, 0.5, 2.0, 1.0 / 3.0)]
-    gamma_seeds = [0.0, 1.0 / (times[-1] - times[0])]
-
-    span = times[-1] - times[0]
-    bounds = ([1e-6 / span, 0.0], [np.inf, 1e4 / span])
+    w_peak = 2 * math.pi * max(f_peak, 1.0 / span)
+    omega_seeds = [min(w_peak * m / base, omega_max) for m in (1.0, 0.5, 2.0, 1.0 / 3.0)]
+    gamma_seeds = [0.0, 1.0 / span]
+    bounds = ([1e-6 / span, 0.0], [omega_max, 1e4 / span])
 
     def resid(p):
-        return (_rabi_model(times, p[0], p[1], kind, initial) - pops).ravel()
+        fitted, d_omega, d_gamma = model(p[0], p[1])
+        return (fitted - pops).ravel(), np.stack([d_omega.ravel(), d_gamma.ravel()], axis=1)
 
-    starts = [[[og, max(gg, 0.0)] for gg in gamma_seeds] for og in omega_seeds]
+    starts = [[[og, gg] for gg in gamma_seeds] for og in omega_seeds]
     best = _fit_least_squares(resid, starts, bounds, "Rabi fit", stop_cost=1e-18)
     omega, gamma = best.x
     # decay below 0.01% over the whole window is indistinguishable from none

@@ -6,7 +6,10 @@ dephasing rate that acts on every qubit regardless of its field sensitivity
 (the stand-in for second-order shifts, drive phase noise and leakage).  For
 quasi-static Gaussian noise the Ramsey envelope is Gaussian,
 exp(-(t/T2)^2) with T2 = sqrt(2) / (2 pi s sigma_B), which is what the
-calibration helpers invert.  ``scipy.optimize`` loads at the first T2* fit.
+calibration helpers invert.  The T2* fit is a profile search in numpy alone:
+the envelope is linear in its amplitude and floor, so for each T2 on a log
+grid those two are solved exactly inside their bounds, and the grid is
+refined around the best T2.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import FitFailureError, _fit_least_squares
+from .dynamics import FitFailureError, _covariance
 from .rng import substream
 
 __all__ = [
@@ -180,12 +183,64 @@ class T2Fit:
     covariance: np.ndarray  # 3x3 over (amplitude, t2, floor)
 
 
+_AMPLITUDE_BOUNDS = (0.0, 1.5)
+_FLOOR_BOUNDS = (-0.5, 0.5)
+_T2_GRID = 33  # T2 values per profile-search round, log spaced
+_T2_ROUNDS = 10  # each round spans two steps of the last: the log step shrinks 16x, to ~1e-11
+
+
+def _profile(t: np.ndarray, c: np.ndarray, w: np.ndarray, t2: np.ndarray):
+    """Bounded weighted least-squares amplitude and floor at each T2 of a grid.
+
+    For fixed T2 the cost is a convex quadratic in (amplitude, floor), so its
+    minimum over the box is the unconstrained minimum when that is feasible
+    and otherwise the best of the four edges, each a clipped one-dimensional
+    minimum.  Returns (cost, amplitude, floor), one entry per T2.
+    """
+    (a_lo, a_hi), (f_lo, f_hi) = _AMPLITUDE_BOUNDS, _FLOOR_BOUNDS
+    ww = w * w
+    g = np.exp(-((t / t2[:, None]) ** 2))  # (K, n)
+    c_mean = ww @ c / ww.sum()
+    g_mean = g @ ww / ww.sum()
+    dg = g - g_mean[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat g (T2 at a grid end) gives NaN
+        a_free = dg @ (ww * (c - c_mean)) / ((dg * dg) @ ww)
+        g_norm = (g * g) @ ww
+        amps = np.stack([
+            a_free,
+            np.full_like(a_free, a_lo),
+            np.full_like(a_free, a_hi),
+            np.clip(g @ (ww * (c - f_lo)) / g_norm, a_lo, a_hi),
+            np.clip(g @ (ww * (c - f_hi)) / g_norm, a_lo, a_hi),
+        ])
+        floors = np.stack([
+            c_mean - a_free * g_mean,
+            np.clip(c_mean - a_lo * g_mean, f_lo, f_hi),
+            np.clip(c_mean - a_hi * g_mean, f_lo, f_hi),
+            np.full_like(a_free, f_lo),
+            np.full_like(a_free, f_hi),
+        ])
+        resid = w * (amps[:, :, None] * g + floors[:, :, None] - c)  # (5, K, n)
+        cost = 0.5 * np.einsum("ckn,ckn->ck", resid, resid)
+    feasible = (a_lo <= amps[0]) & (amps[0] <= a_hi) & (f_lo <= floors[0]) & (floors[0] <= f_hi)
+    cost[0, ~feasible] = np.inf
+    cost[np.isnan(cost)] = np.inf
+    pick = np.argmin(cost, axis=0)
+    cols = np.arange(t2.size)
+    return cost[pick, cols], amps[pick, cols], floors[pick, cols]
+
+
 def fit_t2star(scan: RamseyScan) -> T2Fit:
     """Weighted least squares of A exp(-(t/T2)^2) + floor to the contrast.
 
     Quasi-static Gaussian field noise implies a Gaussian envelope, so that
-    shape is fitted for every qubit.  T2 estimates pinned at the search
-    bounds are flagged rather than trusted.
+    shape is fitted for every qubit.  A is bounded to [0, 1.5], the floor to
+    [-0.5, 0.5] and T2 to [0.05 t_first, 50 t_last].  The search profiles T2:
+    a log grid over its bounds, refined around the lowest cost for a fixed
+    number of rounds, with the exact bounded (A, floor) at every grid point.
+    The covariance is 2 cost / dof (J^T J)^-1 from the analytic Jacobian at
+    the optimum.  T2 estimates pinned at the search bounds are flagged rather
+    than trusted.
     """
     t = scan.delays_s
     if t.size < 6:
@@ -194,33 +249,30 @@ def fit_t2star(scan: RamseyScan) -> T2Fit:
     w = 1.0 / np.maximum(scan.errors, 1e-6)
 
     lo, hi = 0.05 * t[0] if t[0] > 0 else 1e-9, 50.0 * t[-1]
-
-    def model(p):
-        a, t2, c0 = p
-        return a * np.exp(-((t / t2) ** 2)) + c0
-
-    def resid(p):
-        return w * (model(p) - c)
-
-    # seed T2 from the first crossing below 1/e of the initial contrast
-    a0 = max(c[0], 0.1)
-    below = np.nonzero(c < a0 / math.e)[0]
-    t2_0 = t[below[0]] if below.size else t[-1]
-    t2_0 = min(max(t2_0, lo * 2), hi / 2)
-
-    starts = [[[a0, t2_seed, 0.0] for t2_seed in (t2_0, 0.5 * t2_0, 2.0 * t2_0)]]
-    best = _fit_least_squares(resid, starts, ([0.0, lo, -0.5], [1.5, hi, 0.5]), "coherence-time fit")
-    a, t2, c0 = best.x
+    grid = np.geomspace(lo, hi, _T2_GRID)
+    best = (math.inf, math.nan, math.nan, math.nan)
+    for _ in range(_T2_ROUNDS):
+        cost, amp, floor = _profile(t, c, w, grid)
+        k = int(np.argmin(cost))
+        if cost[k] < best[0]:
+            best = (float(cost[k]), float(grid[k]), float(amp[k]), float(floor[k]))
+        grid = np.geomspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], _T2_GRID)
+    cost, t2, a, c0 = best
+    if not math.isfinite(cost):
+        raise FitFailureError("coherence-time fit did not converge: no finite cost on the T2 grid")
+    g = np.exp(-((t / t2) ** 2))
+    jac = w[:, None] * np.stack([g, a * g * 2 * t**2 / t2**3, np.ones_like(t)], axis=1)
+    cov = _covariance(jac, cost)
     at_hi = t2 >= hi * (1 - 1e-6)
     at_lo = t2 <= lo * (1 + 1e-6) or a < 0.1  # no measurable contrast decay shape
     return T2Fit(
-        t2_s=float(t2),
-        t2_err=float(math.sqrt(max(best.cov[1, 1], 0.0))),
-        amplitude=float(a),
-        floor=float(c0),
+        t2_s=t2,
+        t2_err=float(math.sqrt(max(cov[1, 1], 0.0))),
+        amplitude=a,
+        floor=c0,
         at_upper_bound=bool(at_hi),
         at_lower_bound=bool(at_lo),
-        covariance=best.cov,
+        covariance=cov,
     )
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dqubit
+from dqubit import config
 from dqubit.cli import main, run
 from dqubit.config import EXPERIMENTS, ConfigError, RunConfig, load_config
 
@@ -52,6 +54,13 @@ class TestRunConfig:
         b = RunConfig(experiment="ramsey", seed=6)
         c = RunConfig(experiment="ramsey", seed=5, params={"shots": 77})
         assert a.config_hash != b.config_hash != c.config_hash
+
+    def test_hash_tracks_the_package_version(self, monkeypatch):
+        cfg = RunConfig(experiment="ramsey", seed=5)
+        assert cfg.canonical_text().startswith(f"# dqubit {dqubit.__version__}\n[run]\n")
+        before = cfg.config_hash
+        monkeypatch.setattr(config, "__version__", "0.0.0")
+        assert cfg.config_hash != before
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = RunConfig(
@@ -247,3 +256,41 @@ def test_importing_the_cli_loads_no_scipy_module():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+# a sys.meta_path finder that fails every scipy import, then four fitting or
+# sampling experiments through the CLI entry point
+SCIPY_BLOCKED_RUN = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy.optimize
+except ImportError:
+    pass
+else:
+    sys.exit("the blocker let scipy through")
+from dqubit.cli import main
+
+runs = [["rabi"], ["ramsey"], ["benchmark"], ["detmatrix_d", "--trials", "20"]]
+print([main([*argv, "--out", sys.argv[1] + "/" + argv[0], "--quiet"]) for argv in runs])
+"""
+
+
+def test_fitting_experiments_run_without_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_RUN, str(tmp_path)], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 0, 0]", out.stderr
+    assert (tmp_path / "rabi" / "rabi_fit.txt").exists()

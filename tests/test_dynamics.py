@@ -350,74 +350,185 @@ class TestFitRabi:
     def test_programming_error_in_the_model_propagates(self, monkeypatch):
         times, pops = self.make_data("dm1", OMEGA_LADDER, math.inf)
 
-        def broken_evolve(*args, **kwargs):
+        def broken_hamiltonian(*args, **kwargs):
             raise TypeError("broken model")
 
-        monkeypatch.setattr(dynamics, "evolve", broken_evolve)
+        monkeypatch.setattr(dynamics, "drive_hamiltonian", broken_hamiltonian)
         with pytest.raises(TypeError, match="broken model"):
             fit_rabi(times, pops, "dm1", initial=EDGE_TOP)
+
+    def test_fit_never_calls_evolve(self, monkeypatch):
+        times, pops = self.make_data("dm2", OMEGA_PAIR, 150e-6, noise=0.01)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit_rabi called evolve")
+
+        monkeypatch.setattr(dynamics, "evolve", forbidden)
+        fit_rabi(times, pops, "dm2", initial=EDGE_TOP)
+
+    def test_unordered_times_rejected(self):
+        times, pops = self.make_data("dm1", OMEGA_LADDER, math.inf)
+        with pytest.raises(ValueError, match="ascending"):
+            fit_rabi(times[::-1], pops, "dm1")
+
+    @pytest.mark.parametrize("kind", ["dm1", "dm2"])
+    @pytest.mark.parametrize("initial", [EDGE_TOP, np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)])
+    def test_closed_form_model_matches_evolve_and_its_derivatives(self, kind, initial):
+        times = np.linspace(0.0, 40e-6, 30)
+        model, base = dynamics._rabi_closed_form(times, kind, initial)
+        omega, gamma = 0.9e6, 2.0e4
+        pops, d_omega, d_gamma = model(omega, gamma)
+        ref = evolve(initial, EffectiveDrive(kind=kind, rabi_rad_s=omega), DecayModel(1.0 / gamma), times)
+        assert np.abs(pops - ref.populations).max() < 1e-12
+        assert base == pytest.approx(1.0 / math.sqrt(18.0) if kind == "dm1" else 1.0, rel=1e-12)
+        for got, shift in ((d_omega, (1.0, 0.0)), (d_gamma, (0.0, 1.0))):
+            step = 1e-6 * (omega if shift[0] else gamma)
+            up = model(omega + shift[0] * step, gamma + shift[1] * step)[0]
+            down = model(omega - shift[0] * step, gamma - shift[1] * step)[0]
+            assert np.abs(got - (up - down) / (2 * step)).max() < 1e-6 * np.abs(got).max()
+
+    def test_seed_near_an_alias_fits_the_base_frequency(self):
+        # on a uniform grid every frequency of the model is a multiple of omega/sqrt(18),
+        # so omega and 2 * fold - omega give the same samples; at 0.68 of the fold the
+        # doubled spectral seed lands next to that alias, at 1.32 of the fold
+        times = np.linspace(0.0, 30e-6, 40)
+        fold = math.pi * math.sqrt(18.0) / (times[1] - times[0])
+        omega = 0.68 * fold
+        _, clean = self.make_data("dm1", omega, math.inf, n=40, t_max=30e-6)
+        _, alias = self.make_data("dm1", 2 * fold - omega, math.inf, n=40, t_max=30e-6)
+        assert np.abs(alias - clean).max() < 1e-9
+        _, pops = self.make_data("dm1", omega, math.inf, noise=0.01, seed=1, n=40, t_max=30e-6)
+        fit = fit_rabi(times, pops, "dm1", initial=EDGE_TOP)
+        assert fit.omega_rad_s <= fold
+        assert abs(fit.omega_rad_s - omega) < 5 * fit.omega_err
+
+
+def scipy_rabi_reference(times, pops, kind, initial):
+    """The fit by scipy's least_squares on the propagated model, from the seeds of fit_rabi."""
+    trace = pops[:, int(np.argmax(pops.std(axis=0)))]
+    uniform = np.linspace(times[0], times[-1], max(64, 4 * times.size))
+    resampled = np.interp(uniform, times, trace)
+    spec = np.abs(np.fft.rfft(resampled - resampled.mean()))
+    freqs = np.fft.rfftfreq(uniform.size, uniform[1] - uniform[0])
+    span = times[-1] - times[0]
+    w_peak = 2 * math.pi * max(freqs[1:][int(np.argmax(spec[1:]))], 1.0 / span)
+    scale = math.sqrt(18.0) if kind == "dm1" else 1.0
+
+    def resid(p):
+        decay = DecayModel(tau_s=math.inf if p[1] <= 0 else 1.0 / p[1])
+        return (evolve(initial, EffectiveDrive(kind, p[0]), decay, times).populations - pops).ravel()
+
+    bounds = ([1e-6 / span, 0.0], [np.inf, 1e4 / span])
+    sols = [
+        least_squares(resid, x0=[scale * w_peak * m, g], bounds=bounds, xtol=1e-14, ftol=1e-14)
+        for m in (1.0, 0.5, 2.0, 1.0 / 3.0)
+        for g in (0.0, 1.0 / span)
+    ]
+    return min(sols, key=lambda sol: sol.cost)
+
+
+@pytest.mark.parametrize(
+    "kind, omega, tau, seed",
+    [
+        ("dm1", OMEGA_LADDER, 200e-6, 0),
+        ("dm1", OMEGA_LADDER, 60e-6, 3),
+        ("dm2", OMEGA_PAIR, 150e-6, 1),
+        ("dm2", OMEGA_PAIR, 60e-6, 4),
+    ],
+)
+def test_rabi_fit_matches_scipy_reference(kind, omega, tau, seed):
+    times = np.linspace(0.0, 30e-6 if kind == "dm1" else 90e-6, 40)
+    pops = evolve(EDGE_TOP, EffectiveDrive(kind, omega), DecayModel(tau), times).populations
+    pops = np.clip(pops + 0.01 * np.random.default_rng(seed).standard_normal(pops.shape), 0.0, 1.0)
+    fit = fit_rabi(times, pops, kind, initial=EDGE_TOP)
+    ref = scipy_rabi_reference(times, pops, kind, EDGE_TOP)
+    cost = 0.5 * pops.size * fit.residual_rms**2
+    assert cost <= ref.cost * (1 + 1e-12)
+    assert np.allclose([fit.omega_rad_s, 1.0 / fit.tau_s], ref.x, rtol=1e-4, atol=0.0)
 
 
 UNBOUNDED = (-np.inf, np.inf)
 
 
+def with_jacobian(resid, jac):
+    """Residual callable in the (r, J) form _fit_least_squares takes."""
+    return lambda p: (resid(p), jac(p))
+
+
 class TestLeastSquaresDriver:
     def test_linear_model_matches_normal_equations(self):
-        # small coefficients keep the finite-difference Jacobian exact to ~1e-12
+        # the analytic Jacobian lets coefficients of order 1 converge to rounding
         rng = np.random.default_rng(0)
         t = np.linspace(0.0, 1.0, 40)
         a = np.stack([np.ones_like(t), t, t**2], axis=1)
-        y = a @ [2e-4, -1e-4, 3e-4] + 1e-4 * rng.standard_normal(t.size)
-        fit = _fit_least_squares(lambda p: a @ p - y, [[[0.0, 0.0, 0.0]]], UNBOUNDED, "linear fit")
+        y = a @ [2.0, -1.0, 3.0] + rng.standard_normal(t.size)
+        fit = _fit_least_squares(lambda p: (a @ p - y, a), [[[0.0, 0.0, 0.0]]], UNBOUNDED, "linear fit")
         x, *_ = np.linalg.lstsq(a, y, rcond=None)
         r = a @ x - y
-        assert np.allclose(fit.x, x, rtol=1e-9, atol=0.0)
-        assert fit.cost == pytest.approx(0.5 * r @ r, rel=1e-12)
+        assert np.allclose(fit.x, x, rtol=1e-12, atol=0.0)
+        assert fit.cost == pytest.approx(0.5 * r @ r, rel=1e-14)
         expected = (r @ r) / (t.size - 3) * np.linalg.inv(a.T @ a)
-        assert np.allclose(fit.cov, expected, rtol=1e-10, atol=0.0)
+        assert np.allclose(fit.cov, expected, rtol=1e-12, atol=0.0)
         assert fit.start == 0 and fit.nfev >= 1
         assert isinstance(fit.cost, float) and isinstance(fit.nfev, int)
 
     def test_keeps_the_strictly_lowest_cost_start(self):
         # distinct local minima near -pi/2, 3pi/2 and pi/2 (lowest); the repeated start ties it
-        def resid(p):
-            return np.array([math.cos(p[0]), 0.3 * (p[0] - 1.0)])
-
+        fun = with_jacobian(
+            lambda p: np.array([math.cos(p[0]), 0.3 * (p[0] - 1.0)]),
+            lambda p: np.array([[-math.sin(p[0])], [0.3]]),
+        )
         starts = [[-1.5], [4.7], [1.6], [1.6]]
-        costs = [least_squares(resid, x0=x0, xtol=1e-14, ftol=1e-14).cost for x0 in starts]
-        fit = _fit_least_squares(resid, [starts], UNBOUNDED, "cosine fit")
+        costs = [_fit_least_squares(fun, [[x0]], UNBOUNDED, "cosine fit").cost for x0 in starts]
+        assert len(set(costs)) == 3
+        fit = _fit_least_squares(fun, [starts], UNBOUNDED, "cosine fit")
         assert fit.start == 2
         assert fit.cost == min(costs)
         assert fit.x[0] == pytest.approx(math.pi / 2, abs=0.1)
 
+    def test_bound_holds_a_variable_whose_minimum_lies_outside(self):
+        # unbounded minimum at (-1, 2); with p0 >= 0 held at its bound, p1 = 1/2
+        a = np.array([[1.0, 1.0], [2.0, 1.0]])
+        fun = with_jacobian(lambda p: a @ p - [1.0, 0.0], lambda p: a)
+        fit = _fit_least_squares(fun, [[[3.0, 0.0]]], ([0.0, -np.inf], [np.inf, np.inf]), "bounded fit")
+        assert fit.x[0] == 0.0
+        assert fit.x[1] == pytest.approx(0.5, abs=1e-12)
+
     def test_early_stop_waits_for_the_whole_group(self):
         seen = []
 
-        def resid(p):
+        def fun(p):
             seen.append(float(p[0]))
-            return np.array([p[0] - 2.0])
+            return np.array([p[0] - 2.0]), np.array([[1.0]])
 
-        _fit_least_squares(resid, [[[2.0], [5.0]], [[99.0]]], UNBOUNDED, "exact fit", stop_cost=1e-18)
+        _fit_least_squares(fun, [[[2.0], [5.0]], [[99.0]]], UNBOUNDED, "exact fit", stop_cost=1e-18)
         assert 5.0 in seen and 99.0 not in seen
         seen.clear()
-        _fit_least_squares(resid, [[[2.0], [5.0]], [[99.0]]], UNBOUNDED, "exact fit")
+        _fit_least_squares(fun, [[[2.0], [5.0]], [[99.0]]], UNBOUNDED, "exact fit")
         assert 99.0 in seen
 
     def test_start_raising_value_error_is_skipped(self):
-        def resid(p):
+        def fun(p):
             if p[0] < 0:
                 raise ValueError("infeasible start")
-            return np.array([p[0] - 3.0, 0.5 * (p[0] - 3.0)])
+            return np.array([p[0] - 3.0, 0.5 * (p[0] - 3.0)]), np.array([[1.0], [0.5]])
 
-        fit = _fit_least_squares(resid, [[[-1.0], [1.0]]], UNBOUNDED, "skip fit")
+        fit = _fit_least_squares(fun, [[[-1.0], [1.0]]], UNBOUNDED, "skip fit")
         assert fit.start == 1
         assert fit.x[0] == pytest.approx(3.0, abs=1e-9)
         with pytest.raises(FitFailureError, match="skip fit did not converge: no finite cost from 2 seeded starts"):
-            _fit_least_squares(resid, [[[-1.0], [-2.0]]], UNBOUNDED, "skip fit")
+            _fit_least_squares(fun, [[[-1.0], [-2.0]]], UNBOUNDED, "skip fit")
+
+    def test_infeasible_or_non_finite_start_is_skipped(self):
+        fun = with_jacobian(lambda p: np.array([1.0 / p[0] - 0.5]), lambda p: np.array([[-1.0 / p[0] ** 2]]))
+        with np.errstate(divide="ignore"):  # the start at 0 has an infinite residual
+            fit = _fit_least_squares(fun, [[[-1.0], [0.0], [1.0]]], ([0.0], [np.inf]), "skip fit")
+        assert fit.start == 2
+        assert fit.x[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_residual_raising_type_error_propagates(self):
-        def resid(p):
+        def fun(p):
             raise TypeError("not a value problem")
 
         with pytest.raises(TypeError, match="not a value problem"):
-            _fit_least_squares(resid, [[[1.0], [2.0]]], UNBOUNDED, "broken fit")
+            _fit_least_squares(fun, [[[1.0], [2.0]]], UNBOUNDED, "broken fit")

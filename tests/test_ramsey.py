@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares, lsq_linear
 
 from dqubit.dynamics import FitFailureError
 from dqubit.ramsey import (
@@ -12,6 +13,7 @@ from dqubit.ramsey import (
     fit_t2star,
     ramsey_scan,
 )
+from dqubit.ramsey import _profile
 
 
 def delays_for(t2, n=16):
@@ -112,10 +114,85 @@ class TestFitT2:
         fit = fit_t2star(scan)
         assert fit.at_lower_bound
 
+    def test_non_finite_contrast_fails_loudly(self):
+        scan = ramsey_scan(2.8, NoiseModel(sigma_b_mg=0.8), delays_for(1e-4), 500, seed=6)
+        scan.contrast[3] = math.nan
+        with pytest.raises(FitFailureError, match="coherence-time fit"):
+            fit_t2star(scan)
+
     def test_too_few_delays_rejected(self):
         scan = ramsey_scan(0.0, NoiseModel(), delays_for(1e-4, n=4), 100, seed=0)
         with pytest.raises(ValueError):
             fit_t2star(scan)
+
+
+def scipy_t2_reference(scan):
+    """The fit by scipy's least_squares from three T2 seeds around the first 1/e crossing."""
+    t, c = scan.delays_s, scan.contrast
+    w = 1.0 / np.maximum(scan.errors, 1e-6)
+    lo, hi = 0.05 * t[0], 50.0 * t[-1]
+
+    def resid(p):
+        return w * (p[0] * np.exp(-((t / p[1]) ** 2)) + p[2] - c)
+
+    a0 = max(c[0], 0.1)
+    below = np.nonzero(c < a0 / math.e)[0]
+    t2_0 = min(max(t[below[0]] if below.size else t[-1], 2 * lo), hi / 2)
+    bounds = ([0.0, lo, -0.5], [1.5, hi, 0.5])
+    sols = [
+        least_squares(resid, [a0, seed, 0.0], bounds=bounds, xtol=1e-14, ftol=1e-14)
+        for seed in (t2_0, 0.5 * t2_0, 2.0 * t2_0)
+    ]
+    return min(sols, key=lambda sol: sol.cost)
+
+
+SIGMA_96US = calibrate_noise(96e-6, 2.8)
+
+
+@pytest.mark.parametrize(
+    "amplitude, floor",
+    # inside the box, then beyond each of its four edges
+    [(0.8, 0.1), (-0.3, 0.2), (1.9, -0.6), (0.7, -0.8), (0.4, 0.9)],
+)
+def test_profile_matches_bounded_linear_least_squares(amplitude, floor):
+    t = delays_for(100e-6)
+    c = amplitude * np.exp(-((t / 80e-6) ** 2)) + floor + 0.01 * np.cos(7e4 * t)
+    w = np.linspace(20.0, 60.0, t.size)
+    t2 = np.geomspace(5e-6, 0.01, 9)
+    cost, amps, floors = _profile(t, c, w, t2)
+    for k, t2_k in enumerate(t2):
+        design = w[:, None] * np.stack([np.exp(-((t / t2_k) ** 2)), np.ones_like(t)], axis=1)
+        ref = lsq_linear(design, w * c, bounds=([0.0, -0.5], [1.5, 0.5]), tol=1e-15, lsmr_tol="auto")
+        assert cost[k] <= ref.cost * (1 + 1e-10) + 1e-14
+        assert np.allclose([amps[k], floors[k]], ref.x, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "sens, noise, t2, shots, seed",
+    [
+        (2.8, NoiseModel(sigma_b_mg=SIGMA_96US), 96e-6, 10_000, 3),
+        (2.24, NoiseModel(sigma_b_mg=SIGMA_96US), 120e-6, 2000, 5),
+        (0.0, NoiseModel(residual_rate_per_s=1 / 350e-6), 350e-6, 10_000, 2),
+        (2.8, NoiseModel.with_power_line(0.5, 0.3, 1000.0), 100e-6, 1000, 7),
+        (2.8, NoiseModel(sigma_b_mg=SIGMA_96US), 96e-6, 200, 11),
+        (2.8, NoiseModel(sigma_b_mg=SIGMA_96US, residual_rate_per_s=1500.0), 96e-6, 10_000, 0),
+    ],
+)
+def test_t2_fit_matches_scipy_reference(sens, noise, t2, shots, seed):
+    scan = ramsey_scan(sens, noise, delays_for(t2), shots, seed)
+    fit = fit_t2star(scan)
+    ref = scipy_t2_reference(scan)
+    t, w = scan.delays_s, 1.0 / np.maximum(scan.errors, 1e-6)
+    r = w * (fit.amplitude * np.exp(-((t / fit.t2_s) ** 2)) + fit.floor - scan.contrast)
+    assert 0.5 * r @ r <= ref.cost * (1 + 1e-12)
+    assert np.allclose([fit.amplitude, fit.t2_s], ref.x[:2], rtol=1e-4, atol=0.0)
+    # the floor sits near zero: compare it on the scale of the amplitude
+    assert abs(fit.floor - ref.x[2]) <= 1e-4 * fit.amplitude
+    # covariance from the analytic Jacobian at the optimum, 13 degrees of freedom
+    g = np.exp(-((t / fit.t2_s) ** 2))
+    jac = w[:, None] * np.stack([g, fit.amplitude * g * 2 * t**2 / fit.t2_s**3, np.ones_like(t)], axis=1)
+    expected = (r @ r) / (t.size - 3) * np.linalg.inv(jac.T @ jac)
+    assert np.allclose(fit.covariance, expected, rtol=1e-9, atol=0.0)
 
 
 class TestCalibration:
