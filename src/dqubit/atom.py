@@ -245,7 +245,7 @@ def jz_expectation(a, b) -> complex:
     return complex(va.conj() @ (JZ_QUARTET @ vb))
 
 
-def _jz_of(state, constants: AtomConstants) -> tuple[Manifold, float]:
+def _jz_of(state) -> tuple[Manifold, float]:
     """(manifold, <J_z>) of either a ZeemanState or a quartet amplitude vector."""
     if isinstance(state, ZeemanState):
         return state.manifold, state.mj
@@ -259,8 +259,8 @@ def qubit_sensitivity(a, b, constants: AtomConstants = BA138) -> float:
     sensitivity = |g * mu_B * (<a|J_z|a> - <b|J_z|b>)|.  Both states must live
     in one manifold (quartet amplitude vectors are taken over D3/2).
     """
-    man_a, jz_a = _jz_of(a, constants)
-    man_b, jz_b = _jz_of(b, constants)
+    man_a, jz_a = _jz_of(a)
+    man_b, jz_b = _jz_of(b)
     if man_a != man_b:
         raise ValueError(
             f"sensitivity is defined within a single manifold, got "

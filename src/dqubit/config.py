@@ -47,20 +47,14 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_float(s: str) -> float:
-    v = s.strip().lower()
-    if v in ("inf", "infinity"):
-        return math.inf
-    return float(s)
-
-
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(_parse_float(p) for p in s.replace(",", " ").split())
+    return tuple(float(p) for p in s.replace(",", " ").split())
 
 
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "int": int,
-    "float": _parse_float,
+    "float": float,
+    "float_or_inf": float,
     "floats": _parse_floats,
     "str": str.strip,
     "bool": _parse_bool,
@@ -71,10 +65,17 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    return _is_number(v) and (isinstance(v, int) or math.isfinite(v))
+
+
+# float kinds are finite: inf and nan would pass checks such as v > 0 and
+# fail, or print nonsense, deep in a run; float_or_inf also takes +inf
 _TYPES: dict[str, Callable[[Any], bool]] = {
     "int": lambda v: _is_number(v) and isinstance(v, int),
-    "float": _is_number,
-    "floats": lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
+    "float": _is_finite,
+    "float_or_inf": lambda v: _is_finite(v) or v == math.inf,
+    "floats": lambda v: isinstance(v, tuple) and all(map(_is_finite, v)),
     "str": lambda v: isinstance(v, str),
     "bool": lambda v: isinstance(v, bool),
 }
@@ -162,7 +163,7 @@ EXPERIMENTS: dict[str, list[ParamSpec]] = {
     "rabi": [
         ParamSpec("kind", "str", "dm1", lambda v: v in ("dm1", "dm2"), "dm1 or dm2"),
         ParamSpec("omega_rad_s", "float", math.sqrt(18.0) * math.pi / 12e-6, _positive, "> 0"),
-        ParamSpec("tau_s", "float", 200e-6, _positive, "> 0 (inf allowed)"),
+        ParamSpec("tau_s", "float_or_inf", 200e-6, _positive, "> 0, inf for no decay"),
         ParamSpec("t_max_s", "float", 30e-6, _positive, "> 0"),
         ParamSpec("n_times", "int", 40, lambda v: v >= 8, ">= 8"),
         ParamSpec("noise_frac", "float", 0.01, _nonnegative, ">= 0"),

@@ -305,8 +305,6 @@ class StirapResult:
     final_populations: np.ndarray  # (start, excited, target)
     loss: float
     counterintuitive: bool
-    times_s: np.ndarray
-    populations: np.ndarray  # (T, 3)
 
 
 def stirap_prepare(
@@ -343,32 +341,29 @@ def stirap_prepare(
     t_pump = t_mid + pulse_delay_s / 2.0
     t_stokes = t_mid - pulse_delay_s / 2.0
 
-    times = np.linspace(0.0, total_s, steps + 1)
-    dt = times[1] - times[0]
-    t = times[:-1] + dt / 2.0
-    op = peak_pump_rad_s * np.exp(-((t - t_pump) ** 2) / (2 * pulse_width_s**2))
-    os_ = peak_stokes_rad_s * np.exp(-((t - t_stokes) ** 2) / (2 * pulse_width_s**2))
+    dt = total_s / steps  # the spacing of np.linspace(0, total_s, steps + 1)
+    width2 = 2 * pulse_width_s**2
     psi = np.array([1.0, 0.0, 0.0], complex)  # (start, excited, target)
-    pops = np.empty((steps + 1, 3))
-    pops[0] = np.abs(psi) ** 2
+    peak_p = 0.0
     for lo in range(0, steps, _STIRAP_BLOCK):
         hi = min(lo + _STIRAP_BLOCK, steps)
+        t = np.arange(lo, hi) * dt + dt / 2.0  # step midpoints
         h = np.zeros((hi - lo, 3, 3), complex)
-        h[:, 0, 1] = h[:, 1, 0] = op[lo:hi] / 2.0
-        h[:, 1, 2] = h[:, 2, 1] = os_[lo:hi] / 2.0
+        h[:, 0, 1] = h[:, 1, 0] = peak_pump_rad_s * np.exp(-((t - t_pump) ** 2) / width2) / 2.0
+        h[:, 1, 2] = h[:, 2, 1] = peak_stokes_rad_s * np.exp(-((t - t_stokes) ** 2) / width2) / 2.0
         h[:, 1, 1] = -0.5j * gamma
-        for i, u in enumerate(expm(-1j * h * dt), start=lo):
+        excited = np.empty(hi - lo, complex)
+        for i, u in enumerate(expm(-1j * h * dt)):
             psi = u @ psi
-            pops[i + 1] = np.abs(psi) ** 2
+            excited[i] = psi[1]
+        peak_p = np.maximum(peak_p, (np.abs(excited) ** 2).max())
     final = np.abs(psi) ** 2
     return StirapResult(
         fidelity=float(final[2]),
-        peak_p_population=float(pops[:, 1].max()),
+        peak_p_population=float(peak_p),
         final_populations=final,
         loss=float(max(0.0, 1.0 - final.sum())),
         counterintuitive=counterintuitive,
-        times_s=times,
-        populations=pops,
     )
 
 

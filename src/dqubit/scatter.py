@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import sqrt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -868,7 +868,6 @@ def detection_matrix_d(
     intensity: float = DEFAULT_INTENSITY,
     method: str = "jump",
     constants: AtomConstants = BA138,
-    detuning_overrides: Optional[Mapping[str, Mapping[Polarization, float]]] = None,
 ) -> DetectionMatrix:
     """5x4 detection matrix of the D quartet over the five polarization settings.
 
@@ -881,8 +880,6 @@ def detection_matrix_d(
     rows = []
     for label, pols in D_SETTINGS:
         red, blue = d_detection_beams(pols, b_gauss, intensity, constants)
-        if detuning_overrides and label in detuning_overrides:
-            red = replace(red, detuning_hz=dict(detuning_overrides[label]))
         if len(pols) > 1:
             dets = [red.detuning_hz.get(p, 0.0) for p in pols]
             if max(dets) - min(dets) == 0.0:

@@ -279,7 +279,6 @@ def solve_constrained(
     matrix: Union[DetectionMatrix, np.ndarray],
     efficiency: float,
     scaled_background: bool = True,
-    weights: Optional[np.ndarray] = None,
 ) -> PopulationEstimate:
     """Bounded least squares on the simplex with a known efficiency.
 
@@ -288,8 +287,8 @@ def solve_constrained(
     exactly by enumerating the active-set faces of the feasible polytope
     (the problem has five unknowns, so there are at most 2^5 faces); no
     iterative tolerance enters.  Error bars come from the Gauss-Newton
-    Hessian at the solution, restricted to the unpinned directions; weights
-    default to inverse Poisson variances of the mean counts.
+    Hessian at the solution, restricted to the unpinned directions.  The
+    weights are the inverse variances of the mean counts.
     """
     n = np.asarray(counts.values, dtype=float)
     if (n < 0).any():
@@ -300,9 +299,7 @@ def solve_constrained(
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must lie in (0, 1]")
 
-    if weights is None:
-        weights = 1.0 / counts.mean_variances()
-    w_sqrt = np.sqrt(np.asarray(weights, dtype=float))
+    w_sqrt = np.sqrt(1.0 / counts.mean_variances())
 
     a = np.zeros((m.shape[0], 5))
     a[:, :4] = efficiency * m

@@ -114,6 +114,29 @@ class TestRunConfig:
         assert main(["ramsey", "--config", str(path), "--quiet"]) == 1
         assert "'seed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            (exp, p.name, f"1, 0, 0, {bad}" if p.kind == "floats" else bad)
+            for exp, specs in EXPERIMENTS.items()
+            for p in specs
+            if p.kind.startswith("float")
+            for bad in ("inf", "-inf", "nan")
+            if (p.name, bad) != ("tau_s", "inf")
+        ],
+    )
+    def test_non_finite_float_names_key(self, tmp_path, capsys, experiment, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[run]\nexperiment = {experiment}\n\n[params]\n{key} = {value}\n")
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_infinite_decay_time_runs(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[run]\nexperiment = rabi\n\n[params]\ntau_s = inf\n")
+        assert main(["rabi", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert "tau_s = inf" in (tmp_path / "resolved.cfg").read_text()
+
 
 class TestCliProcess:
     def test_every_experiment_has_a_subcommand(self):
@@ -279,8 +302,9 @@ except ImportError:
 else:
     sys.exit("the blocker let scipy through")
 from dqubit.cli import main
+from dqubit.config import EXPERIMENTS
 
-runs = [["rabi"], ["ramsey"], ["benchmark"], ["detmatrix_d", "--trials", "20"]]
+runs = [[name, "--trials", "20"] if name.startswith("detmatrix") else [name] for name in EXPERIMENTS]
 print([main([*argv, "--out", sys.argv[1] + "/" + argv[0], "--quiet"]) for argv in runs])
 """
 
@@ -292,5 +316,5 @@ def test_fitting_experiments_run_without_scipy(tmp_path):
         capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[0, 0, 0, 0]", out.stderr
+    assert out.stdout.strip() == str([0] * len(EXPERIMENTS)), out.stderr
     assert (tmp_path / "rabi" / "rabi_fit.txt").exists()

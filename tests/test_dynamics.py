@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,21 @@ class TestStirap:
             stirap_prepare(-1.0, 1.0, 1e-6, 1e-6, 1e-5)
         with pytest.raises(ValueError):
             stirap_prepare(1.0, 1.0, 0.0, 1e-6, 1e-5)
+
+    def test_memory_does_not_grow_with_steps(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_STIRAP_BLOCK", 256)
+        om = 2 * math.pi * 20e6
+
+        def peak_bytes(steps):
+            tracemalloc.start()
+            try:
+                stirap_prepare(om, om, 1.6e-6, 2.4e-6, 10e-6, steps=steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(512)  # first call warms numpy's caches
+        assert peak_bytes(8192) - peak_bytes(512) < 64 * 1024
 
 
 class TestProjectSynth:

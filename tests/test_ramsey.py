@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares, lsq_linear
 
+from dqubit import ramsey
 from dqubit.dynamics import FitFailureError
 from dqubit.ramsey import (
     NoiseModel,
@@ -214,7 +215,7 @@ class TestCalibration:
     # (10_000, 2512001858): the plain secant oscillates there without converging
     @pytest.mark.parametrize("shots, seed", [(8000, 6), (10_000, 2512001858)])
     def test_residual_rate_generate_and_fit(self, shots, seed):
-        rate = calibrate_residual_rate(350e-6, shots=shots, seed=seed)
+        rate, fit = calibrate_residual_rate(350e-6, shots=shots, seed=seed)
         scan = ramsey_scan(
             0.0, NoiseModel(residual_rate_per_s=rate), delays_for(350e-6), shots, seed=seed
         )
@@ -266,3 +267,17 @@ class TestBenchmarkSuite:
         rows = benchmark_suite(seed=12, shots=2000, residual_rate_per_s=0.0)
         synth = rows[2]
         assert synth.unbounded
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_no_scan_is_repeated(self, seed, monkeypatch):
+        keys = []
+
+        def recording_scan(sens, noise, delays, shots, scan_seed, **kw):
+            # the field RMS does not enter a scan of the insensitive qubit
+            sigma = noise.sigma_b_mg if sens != 0 else None
+            keys.append((sens, scan_seed, tuple(delays), noise.residual_rate_per_s, sigma))
+            return ramsey_scan(sens, noise, delays, shots, scan_seed, **kw)
+
+        monkeypatch.setattr(ramsey, "ramsey_scan", recording_scan)
+        benchmark_suite(seed=seed, shots=2000)
+        assert len(set(keys)) == len(keys)

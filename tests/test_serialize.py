@@ -296,7 +296,7 @@ def test_synthprep_text(tmp_path, monkeypatch):
 def test_stirap_text(tmp_path, monkeypatch):
     res = dynamics.StirapResult(
         fidelity=0.99, peak_p_population=1e-3, final_populations=np.array([0.005, 0.0, 0.99]),
-        loss=0.005, counterintuitive=True, times_s=np.zeros(1), populations=np.zeros((1, 3)),
+        loss=0.005, counterintuitive=True,
     )
     head, docs = _cli_documents(
         tmp_path, monkeypatch, "stirap", {}, [(dynamics, "stirap_prepare", res)]
