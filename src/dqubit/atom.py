@@ -102,6 +102,9 @@ class AtomConstants:
 
     mu_b is deliberately the rounded 1.4 MHz/G rather than the CODATA value,
     so that benchmark splittings come out as the usual round numbers.
+
+    The functions here take any instance; the pumping model (``scatter``) and
+    the STIRAP loss are fixed to ``BA138``'s P lifetime and branching.
     """
 
     mu_b_hz_per_gauss: float = 1.4e6

@@ -112,6 +112,11 @@ def _nonnegative(v) -> bool:
     return v >= 0
 
 
+def _matrix_source(v) -> bool:
+    # one printable line without leading blanks, so the config file round trip keeps it
+    return v == "chain" or (v.endswith(".txt") and v.isprintable() and v == v.strip())
+
+
 _COMMON = [
     ParamSpec("b_gauss", "float", 2.2, _nonnegative, "field in gauss, >= 0"),
     ParamSpec("intensity", "float", 0.05, _positive, "saturation-relative intensity, > 0"),
@@ -154,8 +159,8 @@ EXPERIMENTS: dict[str, list[ParamSpec]] = {
             "matrix_source",
             "str",
             "chain",
-            lambda v: v == "chain" or v.endswith(".txt"),
-            "'chain' or a detection-matrix file",
+            _matrix_source,
+            "'chain' or a one-line detection-matrix file name",
         ),
         ParamSpec("b_gauss", "float", 2.2, _nonnegative, "field in gauss, >= 0"),
         ParamSpec("intensity", "float", 0.05, _positive, "> 0"),
@@ -248,6 +253,8 @@ class RunConfig:
                 v = ",".join(format(x, ".17g") for x in v)
             elif isinstance(v, float):
                 v = format(v, ".17g")
+            elif isinstance(v, str):
+                v = v.replace("%", "%%")  # the config parser reads %% as %
             buf.write(f"{k} = {v}\n")
         return buf.getvalue()
 

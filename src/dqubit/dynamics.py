@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .atom import BA138, AtomConstants, JZ_QUARTET
+from .atom import BA138, JZ_QUARTET
 from .linalg import expm
 
 __all__ = [
@@ -314,7 +314,6 @@ def stirap_prepare(
     pulse_delay_s: float,
     total_s: float,
     steps: int = 4000,
-    constants: AtomConstants = BA138,
 ) -> StirapResult:
     """Adiabatic transfer d+3/2 -> d-1/2 through the lossy P level.
 
@@ -336,7 +335,7 @@ def stirap_prepare(
             stacklevel=2,
         )
 
-    gamma = 1.0 / constants.p_lifetime_s  # rad/s loss rate of the P level
+    gamma = 1.0 / BA138.p_lifetime_s  # rad/s loss rate of the P level
     t_mid = total_s / 2.0
     t_pump = t_mid + pulse_delay_s / 2.0
     t_stokes = t_mid - pulse_delay_s / 2.0
@@ -555,6 +554,12 @@ def _rabi_closed_form(times: np.ndarray, kind: str, initial):
     return model, base
 
 
+def _fold(omega: float, omega_max: float) -> float:
+    """The alias of omega in [0, omega_max] on a grid whose fold point is omega_max."""
+    r = omega % (2 * omega_max)
+    return 2 * omega_max - r if r > omega_max else r
+
+
 def fit_rabi(
     times_s: Sequence[float],
     populations: np.ndarray,
@@ -569,8 +574,11 @@ def fit_rabi(
     fit is deterministic for fixed data.  The frequency is bounded at the fold
     point pi / (base dt_min) of the time grid (``base`` as in
     ``_rabi_closed_form``, dt_min its shortest step), and seeds above it are
-    clipped to it.  Both decay seeds of a frequency seed run before the search
-    stops early on an exact fit.
+    folded back to their alias below it; the aliases a second or third
+    harmonic allows are seeded where they start closer to the data.  Both
+    decay seeds of a frequency seed run before the search stops early on an
+    exact fit.  Raises FitFailureError when an inexact fit ends on a
+    frequency bound, where the data do not identify omega.
     """
     times = np.asarray(times_s, dtype=float)
     pops = np.asarray(populations, dtype=float)
@@ -609,7 +617,7 @@ def fit_rabi(
     freqs = np.fft.rfftfreq(uniform.size, uniform[1] - uniform[0])
     f_peak = freqs[1:][int(np.argmax(spec[1:]))]
     w_peak = 2 * math.pi * max(f_peak, 1.0 / span)
-    omega_seeds = [min(w_peak * m / base, omega_max) for m in (1.0, 0.5, 2.0, 1.0 / 3.0)]
+    omega_seeds = [_fold(w_peak * m / base, omega_max) for m in (1.0, 0.5, 2.0, 1.0 / 3.0)]
     gamma_seeds = [0.0, 1.0 / span]
     bounds = ([1e-6 / span, 0.0], [omega_max, 1e4 / span])
 
@@ -617,9 +625,25 @@ def fit_rabi(
         fitted, d_omega, d_gamma = model(p[0], p[1])
         return (fitted - pops).ravel(), np.stack([d_omega.ravel(), d_gamma.ravel()], axis=1)
 
+    def start_cost(og):
+        r = resid([og, 0.0])[0]
+        return r @ r
+
     starts = [[[og, gg] for gg in gamma_seeds] for og in omega_seeds]
-    best = _fit_least_squares(resid, starts, bounds, "Rabi fit", stop_cost=1e-18)
+    # the peak may be harmonic n = 2 or 3 of omega, aliased by the sampling; the n - 1
+    # other omegas below the fold point it then allows run where they start below every seed above
+    floor = min(map(start_cost, omega_seeds))
+    aliases = [_fold((2 * k * omega_max + w_peak / base) / n, omega_max) for n in (2, 3) for k in range(1, n)]
+    starts += [[[og, gg] for gg in gamma_seeds] for og in aliases if start_cost(og) < floor]
+    exact = 1e-18  # the search stops at an exact fit, which may sit on a bound
+    best = _fit_least_squares(resid, starts, bounds, "Rabi fit", stop_cost=exact)
     omega, gamma = best.x
+    if best.cost >= exact and not bounds[0][0] < omega < omega_max:
+        where = "fold point" if omega >= omega_max else "lower bound"
+        raise FitFailureError(
+            f"Rabi fit stopped at the {where} of its frequency range ({omega:.6g} rad/s): "
+            "the data do not identify the frequency"
+        )
     # decay below 0.01% over the whole window is indistinguishable from none
     gamma_tiny = gamma <= bounds[0][1] + 1e-12 or gamma * span < 1e-4
     tau = math.inf if gamma_tiny else 1.0 / gamma

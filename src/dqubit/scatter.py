@@ -25,6 +25,11 @@ quantum jumps on the ground+metastable manifold.  Two simulation methods:
 The observable is the number of blue photons (P -> S decays) emitted until
 the ion is pumped dark.  Each trajectory keeps an integer photon count; a
 cell's mean and standard error come from the counts of all its trajectories.
+
+The ion is Ba-138 (``atom.BA138``): its line amplitudes (``_coupling``), decay
+channels and 3:1 branching (``_DECAY``, ``_DECAY_PROBS``) and P linewidth
+(``_GAMMA``) are fixed at import.  A ``PumpModel`` holds what the field and the
+beams set: Zeeman shifts, excitation amplitudes and the chain's rates.
 """
 from __future__ import annotations
 
@@ -39,12 +44,12 @@ import numpy as np
 
 from .atom import (
     BA138,
-    AtomConstants,
     Manifold,
     Polarization,
     ZeemanState,
     cg_coefficient,
     zeeman_shift,
+    zeeman_splitting,
 )
 from .linalg import expm
 from .rng import uniform_table
@@ -83,6 +88,31 @@ EXCITED_STATES = (ZeemanState(Manifold.P_HALF, -1), ZeemanState(Manifold.P_HALF,
 _GROUND_INDEX = {s: i for i, s in enumerate(GROUND_STATES)}
 
 _POLS = (Polarization.SIGMA_PLUS, Polarization.SIGMA_MINUS, Polarization.PI)
+
+
+def _coupling(manifold: Manifold, pol: Polarization) -> np.ndarray:
+    """(2 excited, 6 ground) signed CG amplitudes of one polarization from one lower manifold."""
+    c = np.zeros((2, 6))
+    for gi, g in enumerate(GROUND_STATES):
+        if g.manifold is manifold:
+            for ei, e in enumerate(EXCITED_STATES):
+                c[ei, gi] = cg_coefficient(g, e, pol)
+    return c
+
+
+# decay jump channels: (manifold, emitted polarization) pairs, S channels first
+_CHANNEL_DEFS = [(m, q) for m in (Manifold.S_HALF, Manifold.D_THREE_HALF) for q in _POLS]
+_CHANNEL_IS_S = np.array([man is Manifold.S_HALF for man, _ in _CHANNEL_DEFS])
+# (6 channels, 6 ground, 2 excited) decay amplitude operators; the square-rooted
+# manifold branching makes them resolve the P identity: sum_mu D_mu^T D_mu = I
+_DECAY = np.array([
+    sqrt(BA138.branching_to_s if man is Manifold.S_HALF else BA138.branching_to_d) * _coupling(man, pol).T
+    for man, pol in _CHANNEL_DEFS
+])
+# (2 excited, 6 ground) decay branching; C order, because chain_expected_counts'
+# products round differently on a transposed view
+_DECAY_PROBS = np.ascontiguousarray((_DECAY**2).sum(axis=0).T)
+_GAMMA = 1.0 / (BA138.p_lifetime_s * 1e6)  # P linewidth, 1/us
 
 
 class NonTerminatingError(RuntimeError):
@@ -135,7 +165,6 @@ def standard_beam(
     pols: Iterable[Polarization],
     b_gauss: float,
     intensity: float = DEFAULT_INTENSITY,
-    constants: AtomConstants = BA138,
 ) -> BeamConfig:
     """Beam with equal intensities and the package's default detunings.
 
@@ -144,9 +173,7 @@ def standard_beam(
     two-photon (Raman) resonance between adjacent m_J levels that would
     otherwise make a coherent dark superposition stationary.
     """
-    from .atom import zeeman_splitting
-
-    wz = zeeman_splitting(color.lower_manifold, b_gauss, constants)
+    wz = zeeman_splitting(color.lower_manifold, b_gauss)
     det = {
         Polarization.SIGMA_PLUS: -wz,
         Polarization.SIGMA_MINUS: +wz,
@@ -164,13 +191,12 @@ def s_detection_beams(
     probe: Polarization,
     b_gauss: float,
     intensity: float = DEFAULT_INTENSITY,
-    constants: AtomConstants = BA138,
 ) -> tuple[BeamConfig, BeamConfig]:
     """Probe polarization on the blue transition plus an all-polarization red repump."""
     if probe is Polarization.PI:
         raise ValueError("the S-manifold probe must be sigma+ or sigma-")
     blue = BeamConfig(BeamColor.BLUE_493, {probe: intensity}, {probe: 0.0})
-    red = standard_beam(BeamColor.RED_650, _POLS, b_gauss, intensity, constants)
+    red = standard_beam(BeamColor.RED_650, _POLS, b_gauss, intensity)
     return blue, red
 
 
@@ -178,33 +204,30 @@ def d_detection_beams(
     pols: Iterable[Polarization],
     b_gauss: float,
     intensity: float = DEFAULT_INTENSITY,
-    constants: AtomConstants = BA138,
 ) -> tuple[BeamConfig, BeamConfig]:
     """Red beam with the given polarizations plus an all-polarization blue repump."""
-    red = standard_beam(BeamColor.RED_650, pols, b_gauss, intensity, constants)
-    blue = standard_beam(BeamColor.BLUE_493, _POLS, b_gauss, intensity, constants)
+    red = standard_beam(BeamColor.RED_650, pols, b_gauss, intensity)
+    blue = standard_beam(BeamColor.BLUE_493, _POLS, b_gauss, intensity)
     return red, blue
 
 
 @dataclass(frozen=True)
 class PumpModel:
-    """Assembled excitation/decay model for one field and beam set.
+    """Assembled excitation model for one field and beam set.
 
-    Immutable after build.  The quantum-jump engine, with its fixed-size
-    propagator tables, is built on first use and shared by every run on the model.
+    The Ba-138 decay branching ``_decay_probs`` is a class constant.  Immutable
+    after build.  The quantum-jump engine, with its fixed-size propagator
+    tables, is built on first use and shared by every run on the model.
     """
 
-    constants: AtomConstants
     b_gauss: float
     beams: tuple[BeamConfig, ...]
     degenerate_zeeman: bool
     # internals (units: us and rad/us)
-    _gamma: float = field(repr=False, compare=False, default=0.0)
     _zg: np.ndarray = field(repr=False, compare=False, default=None)
-    _ze: np.ndarray = field(repr=False, compare=False, default=None)
     _colors: tuple = field(repr=False, compare=False, default=())
     _chain_rates: np.ndarray = field(repr=False, compare=False, default=None)  # (6, 2)
-    _decay_probs: np.ndarray = field(repr=False, compare=False, default=None)  # (2, 6)
+    _decay_probs = _DECAY_PROBS  # (2, 6)
 
     @cached_property
     def _jump_engine(self) -> "_JumpEngine":
@@ -224,42 +247,13 @@ class PumpModel:
         return " ".join(parts)
 
 
-# decay jump channels: (manifold, emitted polarization) pairs, S channels first
-_CHANNEL_DEFS = [(m, q) for m in (Manifold.S_HALF, Manifold.D_THREE_HALF) for q in _POLS]
-
-
-def _decay_channel_stack(constants: AtomConstants) -> np.ndarray:
-    """(6 channels, 6 ground, 2 excited) decay amplitude operators.
-
-    Channel amplitudes include the square-rooted manifold branching so the
-    six channels resolve the P identity: sum_mu D_mu^T D_mu = I.
-    """
-    stack = np.zeros((6, 6, 2))
-    for ci, (man, pol) in enumerate(_CHANNEL_DEFS):
-        b = constants.branching_to_s if man is Manifold.S_HALF else constants.branching_to_d
-        for gi, g in enumerate(GROUND_STATES):
-            if g.manifold is not man:
-                continue
-            for ei, e in enumerate(EXCITED_STATES):
-                if e.two_mj == g.two_mj + 2 * pol.delta_m:
-                    stack[ci, gi, ei] = sqrt(b) * cg_coefficient(g, e, pol)
-    return stack
-
-
-_CHANNEL_IS_S = np.array([man is Manifold.S_HALF for man, _ in _CHANNEL_DEFS])
-
-
-def build_model(
-    b_gauss: float,
-    beams: Sequence[BeamConfig],
-    constants: AtomConstants = BA138,
-) -> PumpModel:
-    """Assemble excitation amplitudes and decay channels for a beam set.
+def build_model(b_gauss: float, beams: Sequence[BeamConfig]) -> PumpModel:
+    """Assemble excitation amplitudes for a beam set.
 
     Excitation amplitudes scale as sqrt(intensity) times the signed line
     amplitude, with a complex Lorentzian denominator evaluated at each
     component's detuning from the Zeeman-shifted transition.  Decay uses the
-    3:1 S:D branching and line strengths within each manifold.
+    module tables: 3:1 S:D branching and line strengths within each manifold.
     """
     if b_gauss < 0:
         raise ValueError("magnetic field must be nonnegative")
@@ -274,10 +268,9 @@ def build_model(
             stacklevel=2,
         )
 
-    gamma = 1.0 / (constants.p_lifetime_s * 1e6)  # 1/us
     ang = 2e-6 * np.pi  # Hz -> rad/us
-    zg = np.array([zeeman_shift(s, b_gauss, constants) * ang for s in GROUND_STATES])
-    ze = np.array([zeeman_shift(s, b_gauss, constants) * ang for s in EXCITED_STATES])
+    zg = np.array([zeeman_shift(s, b_gauss) * ang for s in GROUND_STATES])
+    ze = np.array([zeeman_shift(s, b_gauss) * ang for s in EXCITED_STATES])
 
     per_color: dict[BeamColor, list] = {}
     for beam in beams:
@@ -286,45 +279,26 @@ def build_model(
     colors = []
     chain_rates = np.zeros((6, 2))
     for color, comps in sorted(per_color.items(), key=lambda kv: kv[0].value):
-        man = color.lower_manifold
-        Bks, Vks, deltas = [], [], []
-        for pol, inten, det_hz in comps:
-            omega = gamma * sqrt(inten / 2.0)  # Rabi from saturation intensity
-            delta = det_hz * ang
-            Bk = np.zeros((2, 6), complex)
-            Vk = np.zeros((2, 6), complex)
-            for gi, g in enumerate(GROUND_STATES):
-                if g.manifold is not man:
-                    continue
-                for ei, e in enumerate(EXCITED_STATES):
-                    c = cg_coefficient(g, e, pol)
-                    if c == 0.0:
-                        continue
-                    mismatch = delta - (ze[ei] - zg[gi])
-                    Vk[ei, gi] = 0.5 * omega * c
-                    Bk[ei, gi] = Vk[ei, gi] / (mismatch + 0.5j * gamma)
-                    chain_rates[gi, ei] += gamma * abs(Bk[ei, gi]) ** 2
-            Bks.append(Bk)
-            Vks.append(Vk)
-            deltas.append(delta)
-        colors.append((np.array(Bks), np.array(Vks), np.array(deltas)))
-
-    decay_probs = np.zeros((2, 6))
-    stack = _decay_channel_stack(constants)
-    for ei in range(2):
-        decay_probs[ei] = (stack[:, :, ei] ** 2).sum(axis=0)
+        pols, intensities, detunings_hz = zip(*comps)
+        cg = np.array([_coupling(color.lower_manifold, pol) for pol in pols])  # (k, 2, 6)
+        omega = _GAMMA * np.sqrt(np.array(intensities) / 2.0)  # Rabi from saturation intensity
+        deltas = np.array(detunings_hz) * ang
+        Vks = (0.5 * omega[:, None, None] * cg).astype(complex)
+        mismatch = deltas[:, None, None] - (ze[:, None] - zg[None, :])
+        Bks = np.where(cg != 0.0, Vks / (mismatch + 0.5j * _GAMMA), 0.0)
+        # scalar abs and ** round as libm's hypot and pow do; numpy's array
+        # forms differ in the last bit, which the chain's outputs would show
+        for k, ei, gi in zip(*np.nonzero(cg)):
+            chain_rates[gi, ei] += _GAMMA * abs(Bks[k, ei, gi]) ** 2
+        colors.append((Bks, Vks, deltas))
 
     return PumpModel(
-        constants=constants,
         b_gauss=b_gauss,
         beams=beams,
         degenerate_zeeman=degenerate,
-        _gamma=gamma,
         _zg=zg,
-        _ze=ze,
         _colors=tuple(colors),
         _chain_rates=chain_rates,
-        _decay_probs=decay_probs,
     )
 
 
@@ -432,27 +406,21 @@ class _JumpEngine:
     PROP_CHUNK = 4096
 
     def __init__(self, model: PumpModel):
-        self.gamma = model._gamma
         self.colors = model._colors
         # decay amplitudes (excited, channel * ground): one jump's post-jump states per channel
-        self.decay = _decay_channel_stack(model.constants).transpose(2, 0, 1).reshape(2, -1)
+        self.decay = _DECAY.transpose(2, 0, 1).reshape(2, -1)
 
         # termination: rate survives time-averaging iff any single-frequency
         # amplitude group is nonzero; group terms by (color, excited, delta+z_g)
         rows: dict[tuple, np.ndarray] = {}
         for ci, (Bks, _, deltas) in enumerate(self.colors):
-            for k in range(len(deltas)):
-                for gi in range(6):
-                    for ei in range(2):
-                        if Bks[k][ei, gi] == 0:
-                            continue
-                        nu = round(deltas[k] + model._zg[gi], 9)
-                        key = (ci, ei, nu)
-                        rows.setdefault(key, np.zeros(6, complex))[gi] += Bks[k][ei, gi]
+            for k, gi, ei in zip(*np.nonzero(Bks.transpose(0, 2, 1))):
+                key = (ci, ei, round(deltas[k] + model._zg[gi], 9))
+                rows.setdefault(key, np.zeros(6, complex))[gi] += Bks[k, ei, gi]
         self.term_map = (
             np.array(list(rows.values())) if rows else np.zeros((1, 6), complex)
         )
-        self.rate_ref = self.gamma * (np.abs(self.term_map) ** 2).sum(axis=0).max()
+        self.rate_ref = _GAMMA * (np.abs(self.term_map) ** 2).sum(axis=0).max()
 
         # the no-jump generator is a finite Fourier sum of constant matrices:
         # G(t) = sum_m exp(-i w_m t) C_m over component detuning differences
@@ -463,7 +431,7 @@ class _JumpEngine:
                     w = round(deltas[k2] - deltas[k], 12)
                     c = (
                         -0.5j * (Vks[k].conj().T @ Bks[k2] + Bks[k].conj().T @ Vks[k2])
-                        - 0.5 * self.gamma * (Bks[k].conj().T @ Bks[k2])
+                        - 0.5 * _GAMMA * (Bks[k].conj().T @ Bks[k2])
                     )
                     gterms[w] = gterms.get(w, 0.0) + c
         self._gfreqs = np.array(sorted(gterms))
@@ -508,7 +476,7 @@ class _JumpEngine:
     def secular_rates(self, psi_normed: np.ndarray) -> np.ndarray:
         """Time-averaged scattering rate of normalized states; zero iff permanently dark."""
         amp = psi_normed @ self.term_map.T
-        return self.gamma * (np.abs(amp) ** 2).sum(axis=1)
+        return _GAMMA * (np.abs(amp) ** 2).sum(axis=1)
 
 
 def _norms(psi: np.ndarray) -> np.ndarray:
@@ -808,7 +776,6 @@ def _detection_matrix(
     cell: Callable[[PumpModel, ZeemanState, int], tuple[float, float]],
     trials: int,
     seed: int,
-    constants: AtomConstants,
 ) -> DetectionMatrix:
     """One cell per (setting row, initial-state column), seeded seed + 1000*row + col.
 
@@ -819,7 +786,7 @@ def _detection_matrix(
     means = np.zeros((len(rows), len(states)))
     sems = np.zeros_like(means)
     for ri, (_, beams) in enumerate(rows):
-        model = build_model(b_gauss, beams, constants)
+        model = build_model(b_gauss, beams)
         for ci, state in enumerate(states):
             means[ri, ci], sems[ri, ci] = cell(model, state, seed + 1000 * ri + ci)
     return DetectionMatrix(
@@ -846,7 +813,6 @@ def detection_matrix_s(
     seed: int = 0,
     intensity: float = DEFAULT_INTENSITY,
     method: str = "jump",
-    constants: AtomConstants = BA138,
 ) -> DetectionMatrix:
     """2x2 detection matrix of the S doublet under sigma+- probe settings.
 
@@ -854,11 +820,11 @@ def detection_matrix_s(
     intensities the result is diagonal with entries near 2.8.
     """
     rows = [
-        (label, s_detection_beams(probe, b_gauss, intensity, constants))
+        (label, s_detection_beams(probe, b_gauss, intensity))
         for label, probe in (("sigma+", Polarization.SIGMA_PLUS), ("sigma-", Polarization.SIGMA_MINUS))
     ]
     cell = _sampled_cell(trials, method)
-    return _detection_matrix(b_gauss, rows, _S_STATES, cell, trials, seed, constants)
+    return _detection_matrix(b_gauss, rows, _S_STATES, cell, trials, seed)
 
 
 def detection_matrix_d(
@@ -867,7 +833,6 @@ def detection_matrix_d(
     seed: int = 0,
     intensity: float = DEFAULT_INTENSITY,
     method: str = "jump",
-    constants: AtomConstants = BA138,
 ) -> DetectionMatrix:
     """5x4 detection matrix of the D quartet over the five polarization settings.
 
@@ -879,7 +844,7 @@ def detection_matrix_d(
     """
     rows = []
     for label, pols in D_SETTINGS:
-        red, blue = d_detection_beams(pols, b_gauss, intensity, constants)
+        red, blue = d_detection_beams(pols, b_gauss, intensity)
         if len(pols) > 1:
             dets = [red.detuning_hz.get(p, 0.0) for p in pols]
             if max(dets) - min(dets) == 0.0:
@@ -890,7 +855,7 @@ def detection_matrix_d(
                 )
         rows.append((label, (red, blue)))
     cell = _sampled_cell(trials, method)
-    return _detection_matrix(b_gauss, rows, _D_STATES, cell, trials, seed, constants)
+    return _detection_matrix(b_gauss, rows, _D_STATES, cell, trials, seed)
 
 
 def chain_detection_matrix_d(
@@ -906,8 +871,8 @@ def chain_detection_matrix_d(
     def cell(model: PumpModel, state: ZeemanState, _: int) -> tuple[float, float]:
         return chain_expected_counts(model, state), 0.0
 
-    rows = [(label, d_detection_beams(pols, b_gauss, intensity, BA138)) for label, pols in D_SETTINGS]
-    return _detection_matrix(b_gauss, rows, _D_STATES, cell, 0, seed, BA138)
+    rows = [(label, d_detection_beams(pols, b_gauss, intensity)) for label, pols in D_SETTINGS]
+    return _detection_matrix(b_gauss, rows, _D_STATES, cell, 0, seed)
 
 
 @dataclass(frozen=True)
@@ -926,7 +891,6 @@ def find_dark_states(
     pols: Iterable[Polarization],
     b_gauss: float,
     detunings_hz: Optional[Mapping[Polarization, float]] = None,
-    constants: AtomConstants = BA138,
 ) -> list[DarkState]:
     """Dark states of the red transition for one polarization set.
 
@@ -938,11 +902,7 @@ def find_dark_states(
     pols = tuple(dict.fromkeys(pols))
     if not pols:
         raise ValueError("polarization set must be nonempty")
-    C = np.zeros((2, 4))
-    for q in pols:
-        for ci, d in enumerate(_D_STATES):
-            for ei, e in enumerate(EXCITED_STATES):
-                C[ei, ci] += cg_coefficient(d, e, q)
+    C = sum(_coupling(Manifold.D_THREE_HALF, q) for q in pols)[:, 2:]
 
     # basis states entirely dark come first, then superposition dark states
     basis_dark = [i for i in range(4) if np.allclose(C[:, i], 0.0, atol=1e-14)]

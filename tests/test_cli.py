@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dqubit
 from dqubit import config
@@ -82,6 +84,16 @@ class TestRunConfig:
         path.write_text(cfg.canonical_text())
         assert load_config(str(path)).params["tau_s"] == math.inf
 
+    def test_matrix_file_names_round_trip_or_are_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for name in ("50%.txt", "a %% b.txt"):
+            cfg = RunConfig(experiment="tomo", params={"matrix_source": name})
+            path.write_text(cfg.canonical_text())
+            assert load_config(str(path)).params["matrix_source"] == name
+        for name in (" a.txt", "a\nb.txt", "a\r.txt", "\ud800.txt"):
+            with pytest.raises(ConfigError, match="matrix_source"):
+                RunConfig(experiment="tomo", params={"matrix_source": name})
+
     def test_bad_file_value_names_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[run]\nexperiment = ramsey\n\n[params]\nshots = lots\n")
@@ -136,6 +148,46 @@ class TestRunConfig:
         path.write_text("[run]\nexperiment = rabi\n\n[params]\ntau_s = inf\n")
         assert main(["rabi", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
         assert "tau_s = inf" in (tmp_path / "resolved.cfg").read_text()
+
+
+# --- canonical_text and load_config are inverse on valid configs -----------
+
+_STRINGS = {
+    "method": st.sampled_from(["jump", "chain"]),
+    "kind": st.sampled_from(["dm1", "dm2"]),
+    "readout": st.sampled_from(["contrast", "fringe"]),
+    "detuning_mode": st.sampled_from(["standard", "common"]),
+    "pols": st.lists(st.sampled_from(["sigma+", "sigma-", "pi"]), min_size=1, max_size=4).map(",".join),
+    "matrix_source": st.one_of(st.just("chain"), st.text(max_size=12).map(lambda s: s + ".txt")),
+}
+_FINITE = st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=False, allow_infinity=False))
+_KINDS = {
+    "int": st.one_of(st.integers(-5, 200), st.integers(0, 2**62)),
+    "float": _FINITE,
+    "float_or_inf": st.one_of(_FINITE, st.just(math.inf)),
+    "floats": st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda v: sum(v) > 0)
+    .map(lambda v: tuple(x / sum(v) for x in v)),
+    "bool": st.booleans(),
+}
+
+
+def _valid_value(spec):
+    strategy = _STRINGS[spec.name] if spec.kind == "str" else _KINDS[spec.kind]
+    return strategy.filter(lambda v: spec.check is None or spec.check(v))
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**63 - 1))
+def test_canonical_text_round_trips_through_load_config(tmp_path_factory, experiment, data, seed):
+    specs = [p for p in EXPERIMENTS[experiment] if data.draw(st.booleans())]
+    cfg = RunConfig(experiment, seed, params={p.name: data.draw(_valid_value(p), label=p.name) for p in specs})
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text(cfg.canonical_text())
+    loaded = load_config(str(path))
+    assert (loaded.experiment, loaded.seed, loaded.params) == (cfg.experiment, cfg.seed, cfg.params)
+    assert loaded.config_hash == cfg.config_hash
 
 
 class TestCliProcess:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from dqubit import dynamics
@@ -417,6 +419,69 @@ class TestFitRabi:
         fit = fit_rabi(times, pops, "dm1", initial=EDGE_TOP)
         assert fit.omega_rad_s <= fold
         assert abs(fit.omega_rad_s - omega) < 5 * fit.omega_err
+
+    def test_fit_up_to_the_fold_recovers_omega_or_raises(self):
+        # the CLI's default grid, noise-free and decay-free, from 0.02 to 0.99 of the fold;
+        # near the fold every spectral seed sits on a folded harmonic
+        times = np.linspace(0.0, 30e-6, 40)
+        fold = math.pi * math.sqrt(18.0) / (times[1] - times[0])
+        wrong = []
+        for i in range(2, 100):
+            omega = i / 100 * fold
+            pops = evolve(EDGE_TOP, EffectiveDrive("dm1", omega), NO_DECAY, times).populations
+            try:
+                fit = fit_rabi(times, pops, "dm1", initial=EDGE_TOP)
+            except FitFailureError:
+                continue
+            if abs(fit.omega_rad_s / omega - 1.0) > 1e-6:
+                wrong.append((i, fit.omega_rad_s / fold, fit.residual_rms))
+        assert wrong == []
+
+    def test_inexact_fit_on_a_frequency_bound_raises(self):
+        times = np.linspace(0.0, 30e-6, 40)
+        fold = math.pi * math.sqrt(18.0) / (times[1] - times[0])
+        rng = np.random.default_rng(0)
+        # at the fold the samples cannot tell omega from its alias
+        _, pops = self.make_data("dm1", fold, 200e-6, noise=0.01, n=40, t_max=30e-6)
+        with pytest.raises(FitFailureError, match="fold point"):
+            fit_rabi(times, pops, "dm1", initial=EDGE_TOP)
+        # decay without oscillation pushes omega to its lower bound
+        w = np.exp(-3e4 * times)[:, None]
+        pops = w * [0.0, 0.0, 0.0, 1.0] + (1.0 - w) / 4.0
+        noisy = np.clip(pops + 0.01 * rng.standard_normal(pops.shape), 0.0, 1.0)
+        with pytest.raises(FitFailureError, match="lower bound"):
+            fit_rabi(times, noisy, "dm1", initial=EDGE_TOP)
+        # the same trace without noise is an exact fit, which may sit on the bound
+        assert fit_rabi(times, pops, "dm1", initial=EDGE_TOP).residual_rms < 1e-9
+
+
+_AMPLITUDES = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=4, max_size=4).filter(
+    lambda a: np.linalg.norm(a) > 1e-3
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(["dm1", "dm2"]),
+    rabi=st.floats(1e3, 1e8),
+    phase=st.floats(-10.0, 10.0),
+    detuning=st.floats(-1e7, 1e7),
+    columns=st.lists(_AMPLITUDES, min_size=1, max_size=4),
+    tau=st.one_of(st.just(math.inf), st.floats(1e-7, 1e-2)),
+    times=st.lists(st.floats(0.0, 1e-4), min_size=1, max_size=8).map(sorted),
+)
+def test_evolve_keeps_trace_and_norm(kind, rabi, phase, detuning, columns, tau, times):
+    # one column is a state vector; more columns a make the density a a^dagger / trace
+    a = np.array(columns).T
+    initial = a[:, 0] / np.linalg.norm(a[:, 0]) if a.shape[1] == 1 else a @ a.conj().T / np.vdot(a, a).real
+    drive = EffectiveDrive(kind, rabi, phase_rad=phase, detuning_rad_s=detuning)
+    res = evolve(initial, drive, DecayModel(tau), times)
+    if res.density_form:
+        assert np.abs(np.trace(res.states, axis1=1, axis2=2) - 1.0).max() < 1e-12
+    else:
+        assert np.abs(np.linalg.norm(res.states, axis=1) - 1.0).max() < 1e-12
+    assert res.density_form == (a.shape[1] > 1 or not math.isinf(tau))
+    assert np.abs(res.populations.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def scipy_rabi_reference(times, pops, kind, initial):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqubit.atom import Manifold, Polarization, ZeemanState
+from dqubit.atom import BA138, Manifold, Polarization, ZeemanState, cg_coefficient, zeeman_shift
 from dqubit.scatter import (
     BeamColor,
     BeamConfig,
@@ -27,9 +27,9 @@ from dqubit.scatter import (
     simulate_pumping,
     standard_beam,
 )
-from dqubit.scatter import _jump_sample_block
+from dqubit.scatter import _DECAY, _DECAY_PROBS, EXCITED_STATES, _coupling, _jump_sample_block
 
-from oracles import chain_counts_by_value_iteration
+from oracles import chain_counts_by_value_iteration, sympy_cg
 
 S_DOWN, S_UP = GROUND_STATES[0], GROUND_STATES[1]
 D = GROUND_STATES[2:6]
@@ -88,6 +88,73 @@ class TestBuildModel:
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):
             build_model(-1.0, [standard_beam(BeamColor.RED_650, (SP,), 1.0)])
+
+
+class TestIonTables:
+    def test_decay_channels_resolve_the_p_identity(self):
+        assert _DECAY.shape == (6, 6, 2)
+        assert np.abs(np.einsum("cge,cgf->ef", _DECAY, _DECAY) - np.eye(2)).max() < 1e-15
+
+    def test_decay_branching_sums_to_one_with_three_quarters_to_s(self):
+        assert _DECAY_PROBS.shape == (2, 6)
+        assert np.abs(_DECAY_PROBS.sum(axis=1) - 1.0).max() < 1e-15
+        assert np.abs(_DECAY_PROBS[:, :2].sum(axis=1) - 0.75).max() < 1e-15
+
+    def test_every_model_shares_the_decay_branching(self):
+        assert d_model((SP,))._decay_probs is _DECAY_PROBS
+        assert s_model(b=0.5)._decay_probs is _DECAY_PROBS
+
+    @pytest.mark.parametrize("pol", [SP, SM, PI])
+    @pytest.mark.parametrize("manifold", [Manifold.S_HALF, Manifold.D_THREE_HALF])
+    def test_coupling_matches_sympy_clebsch_gordan(self, manifold, pol):
+        c = _coupling(manifold, pol)
+        assert c.shape == (2, 6)
+        for gi, g in enumerate(GROUND_STATES):
+            for ei, e in enumerate(EXCITED_STATES):
+                if g.manifold is not manifold:
+                    assert c[ei, gi] == 0.0
+                    continue
+                ref = sympy_cg(g.manifold.j, g.mj, 1, pol.delta_m, e.manifold.j, e.mj)
+                assert c[ei, gi] == pytest.approx(ref, abs=1e-15)
+
+
+def loop_excitation_tables(b_gauss, beams):
+    """Per-color (Bks, Vks, deltas) and chain rates, one Zeeman transition at a time."""
+    gamma, ang = 1.0 / (BA138.p_lifetime_s * 1e6), 2e-6 * np.pi
+    zg = [zeeman_shift(g, b_gauss) * ang for g in GROUND_STATES]
+    ze = [zeeman_shift(e, b_gauss) * ang for e in EXCITED_STATES]
+    colors, rates = [], np.zeros((6, 2))
+    for color in sorted({b.color for b in beams}, key=lambda c: c.value):
+        Bks, Vks, deltas = [], [], []
+        for pol, inten, det_hz in [c for b in beams if b.color is color for c in b.components()]:
+            omega, delta = gamma * math.sqrt(inten / 2.0), det_hz * ang
+            Bk, Vk = np.zeros((2, 6), complex), np.zeros((2, 6), complex)
+            for gi, g in enumerate(GROUND_STATES):
+                for ei, e in enumerate(EXCITED_STATES):
+                    c = cg_coefficient(g, e, pol) if g.manifold is color.lower_manifold else 0.0
+                    if c != 0.0:
+                        Vk[ei, gi] = 0.5 * omega * c
+                        Bk[ei, gi] = Vk[ei, gi] / (delta - (ze[ei] - zg[gi]) + 0.5j * gamma)
+                        rates[gi, ei] += gamma * abs(Bk[ei, gi]) ** 2
+            Bks.append(Bk)
+            Vks.append(Vk)
+            deltas.append(delta)
+        colors.append((np.array(Bks), np.array(Vks), np.array(deltas)))
+    return colors, rates
+
+
+@pytest.mark.parametrize("b_gauss", [0.1, 2.2, 7.3])
+@pytest.mark.parametrize("intensity", [0.05, 2.0])
+def test_excitation_tables_equal_the_per_transition_loop(b_gauss, intensity):
+    beam_sets = [d_detection_beams(pols, b_gauss, intensity) for _, pols in D_SETTINGS]
+    beam_sets += [s_detection_beams(q, b_gauss, intensity) for q in (SP, SM)]
+    for beams in beam_sets:
+        model = build_model(b_gauss, beams)
+        colors, rates = loop_excitation_tables(b_gauss, beams)
+        assert np.array_equal(model._chain_rates, rates)
+        for got, ref in zip(model._colors, colors, strict=True):
+            for g, r in zip(got, ref):
+                assert g.dtype == r.dtype and np.array_equal(g, r)
 
 
 class TestChainExpectations:
@@ -215,6 +282,11 @@ class TestJumpEngine:
         red, blue = d_detection_beams((SP, PI), 2.2)
         red = replace(red, detuning_hz={SP: -1.2345e6, PI: 0.0})
         assert build_model(2.2, (red, blue))._jump_engine.period is None
+
+    def test_low_field_rows_reach_both_stepping_paths(self):
+        # at 0.1 G dt is capped, so only the single-polarization rows have a period
+        periods = {label: d_model(pols, b=0.1)._jump_engine.period for label, pols in D_SETTINGS}
+        assert periods == {"sigma+": 500, "sigma-": 500, "pi": 500, "sigma+pi": None, "sigma-pi": None}
 
     def test_engine_size_is_fixed_by_the_model(self):
         for model in (d_model((SP, PI)), s_model()):
@@ -369,9 +441,6 @@ class TestDarkStates:
         assert all(d.stationary for d in dark)
 
     def test_dark_vectors_annihilated_by_coupling(self):
-        from dqubit.atom import cg_coefficient
-        from dqubit.scatter import EXCITED_STATES
-
         for pols in ([SP, PI], [SP, SM], [SM, PI]):
             c = np.zeros((2, 4))
             for q in pols:
