@@ -129,10 +129,6 @@ class AtomConstants:
     def branching_to_d(self) -> float:
         return 1.0 - self.branching_to_s
 
-    @property
-    def branching_s_over_d(self) -> float:
-        return self.branching_to_s / self.branching_to_d
-
     def g_factor(self, manifold: Manifold) -> float:
         return self.g_factors[manifold]
 

@@ -60,21 +60,6 @@ class NoiseModel:
         if any(f <= 0 or a < 0 for f, a in self.harmonics):
             raise ValueError("harmonics need positive frequency and nonnegative amplitude")
 
-    @classmethod
-    def with_power_line(
-        cls,
-        sigma_b_mg: float,
-        line_amp_mg: float,
-        residual_rate_per_s: float = 0.0,
-        fundamental_hz: float = 60.0,
-        n_harmonics: int = 3,
-    ) -> "NoiseModel":
-        """Noise model with the power-line fundamental and falling harmonics."""
-        harmonics = tuple(
-            (fundamental_hz * (k + 1), line_amp_mg / (k + 1)) for k in range(n_harmonics)
-        )
-        return cls(sigma_b_mg, harmonics, residual_rate_per_s)
-
 
 @dataclass
 class RamseyScan:
@@ -263,7 +248,7 @@ def fit_t2star(scan: RamseyScan) -> T2Fit:
     if not math.isfinite(cost):
         raise FitFailureError("coherence-time fit did not converge: no finite cost on the T2 grid")
     g = np.exp(-((t / t2) ** 2))
-    jac = w[:, None] * np.stack([g, a * g * 2 * t**2 / t2**3, np.ones_like(t)], axis=1)
+    jac = w[:, None] * np.stack([g, a * g * 2 * (t / t2) ** 2 / t2, np.ones_like(t)], axis=1)
     cov = _covariance(jac, cost)
     at_hi = t2 >= hi * (1 - 1e-6)
     at_lo = t2 <= lo * (1 + 1e-6) or a < 0.1  # no measurable contrast decay shape

@@ -10,14 +10,14 @@ quantum jumps on the ground+metastable manifold.  Two simulation methods:
   and post-decay coherences are all retained.  This is the default.
   Trajectories use the waiting-time form of the Monte Carlo wave function
   method (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): a jump happens
-  when the no-jump norm falls to a uniform draw.  When the no-jump
-  generator is periodic in a whole number of time steps, as it is for all
-  standard settings, each trajectory advances a power-of-two stride of
-  steps per iteration from its own phase through precomputed products, and
-  only trajectories whose norm crossed their draw bisect back to the
-  crossing step.  Otherwise all trajectories step through the grid in
-  lockstep, one propagator per step.  The two paths differ only in
-  floating-point rounding.
+  when the no-jump norm falls to a uniform draw.  The no-jump generator
+  beats at detuning differences; the time grid splits their common period
+  into a whole number of steps.  Each trajectory advances a power-of-two
+  stride of steps per iteration from its own phase through precomputed
+  products, and only trajectories whose norm crossed their draw bisect back
+  to the crossing step.  Detunings without a common period, or a period
+  longer than ``_MAX_PERIOD`` steps (fields below about 0.0044 G with the
+  standard beams), raise ValueError.
 * ``chain`` - the classical embedded Markov chain over basis states
   (excitation branching by line strength, decay branching by the 3:1 rule).
   Exact for single-polarization settings, where no coherences form.
@@ -37,7 +37,7 @@ import enum
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import sqrt
+from math import ceil, isfinite, sqrt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -134,7 +134,10 @@ class BeamConfig:
 
     ``intensity`` maps polarization -> saturation-relative intensity (>= 0,
     at least one positive).  ``detuning_hz`` maps polarization -> offset of
-    that component's frequency from the zero-field line center.
+    that component's frequency from the zero-field line center.  The ``jump``
+    method needs the detuning differences within each color to share a
+    period (whole multiples of one frequency, as ``standard_beam``'s are);
+    otherwise ``simulate_pumping`` raises ValueError.
     """
 
     color: BeamColor
@@ -232,10 +235,6 @@ class PumpModel:
     @cached_property
     def _jump_engine(self) -> "_JumpEngine":
         return _JumpEngine(self)
-
-    def excitation_rate_of(self, state: ZeemanState) -> float:
-        """Total excitation rate out of a basis state, 1/us."""
-        return float(self._chain_rates[_GROUND_INDEX[state]].sum())
 
     def describe(self) -> str:
         parts = [f"B={self.b_gauss}G"]
@@ -376,39 +375,48 @@ def _chain_sample_block(
 
 _JUMP_WINDOW = 64  # jumps of threshold and channel draws fetched per trajectory at a time
 DARK_RATE_FRACTION = 1e-6  # dark: time-averaged rate below this share of the largest basis-state rate
-_DARK_CHECK_EVERY = 16  # fine steps between dark-termination checks
 _PERIOD_TOL = 1e-9  # cycles a generator frequency may miss a whole number by per period
-_MAX_PERIOD = 2048  # steps; a generator without a period this short is fine-stepped
+_MAX_CYCLES = 64  # a period spans at most this many cycles of the slowest generator beat
+_MAX_PERIOD = 8192  # steps per period; keeps the lift tables near 66 MB or less
 _MIN_STRIDE_LOG2 = 5  # a period advance covers at least 32 steps
 
 
-def _generator_period(freqs: np.ndarray, dt: float) -> Optional[int]:
-    """Smallest step count N with every exp(-i w N dt) = 1 within rounding, or None."""
-    x = np.arange(1, _MAX_PERIOD + 1)[:, None] * (freqs * dt / (2 * np.pi))
-    whole = np.nonzero((np.abs(x - np.round(x)) <= _PERIOD_TOL).all(axis=1))[0]
-    return int(whole[0]) + 1 if whole.size else None
-
-
 class _JumpEngine:
-    """Precompiled matrices of one model over the fixed time grid ``dt``.
+    """Precompiled matrices of one model over one period of its no-jump generator.
 
-    The no-jump generator ``G(t) = sum_m exp(-i w_m t) C_m`` is usually periodic
-    in a whole number ``period`` of steps.  Then ``lift[k, p]`` is the product of
+    The generator ``G(t) = sum_m exp(-i w_m t) C_m`` beats at detuning
+    differences that must all be whole multiples of one fundamental, as they
+    are for the standard beams (g_S/g_D = 5/2).  Its period ``T`` is split into
+    the fewest ``period`` steps whose ``dt = T / period`` is at most 0.05 us and
+    1/28 cycle of the fastest frequency.  ``lift[k, p]`` is the product of
     ``2**k`` step propagators starting at phase ``p`` (step ``p`` mod ``period``),
     up to ``2**k = stride``, the first power of two >= max(``period``, 32): one
     exponential call and ``log2(stride)`` batched products per model, and a
-    size fixed by the model, not by how long trajectories run.  Without such
-    a period (incommensurate detunings) ``period`` is None, there are no
-    tables, and trajectories are fine-stepped through ``step_propagators``
-    chunks that live only as long as one block needs them.
+    size fixed by the model, not by how long trajectories run.  A model whose
+    beats share no period, or whose period needs more than ``_MAX_PERIOD``
+    steps, raises ValueError before any table is allocated.
     """
-
-    PROP_CHUNK = 4096
 
     def __init__(self, model: PumpModel):
         self.colors = model._colors
         # decay amplitudes (excited, channel * ground): one jump's post-jump states per channel
         self.decay = _DECAY.transpose(2, 0, 1).reshape(2, -1)
+
+        # steps of at most 0.05 us and 1/28 cycle of the fastest frequency
+        freqs = [0.0]
+        for _, _, deltas in self.colors:
+            freqs.extend(deltas.tolist())
+        freqs.extend(model._zg.tolist())
+        span = max(freqs) - min(freqs)
+        beat = max(abs(f) for f in freqs)
+        wmax = max(span, 2 * beat, 1e-12)
+        # frequencies are keyed below by rounding, which scales them by up to 1e12
+        if not isfinite(wmax * 1e12):
+            raise ValueError(
+                f"b_gauss = {model.b_gauss:g} G: generator frequencies up to {wmax:.3g} rad/us "
+                "are out of range for method 'jump'"
+            )
+        dt_max = min((2 * np.pi / wmax) / 28.0, 0.05)
 
         # termination: rate survives time-averaging iff any single-frequency
         # amplitude group is nonzero; group terms by (color, excited, delta+z_g)
@@ -434,35 +442,40 @@ class _JumpEngine:
                         - 0.5 * _GAMMA * (Bks[k].conj().T @ Bks[k2])
                     )
                     gterms[w] = gterms.get(w, 0.0) + c
-        self._gfreqs = np.array(sorted(gterms))
-        self._gmats = np.array([gterms[w] for w in sorted(gterms)])
+        gfreqs = np.array(sorted(gterms))
+        gmats = np.array([gterms[w] for w in sorted(gterms)])
 
-        # 28 steps per period of the fastest beat in the generator
-        freqs = [0.0]
-        for _, _, deltas in self.colors:
-            freqs.extend(deltas.tolist())
-        freqs.extend(model._zg.tolist())
-        span = max(freqs) - min(freqs)
-        beat = max(abs(f) for f in freqs)
-        wmax = max(span, 2 * beat, 1e-12)
-        self.dt = min((2 * np.pi / wmax) / 28.0, 0.05)
+        # the period spans the fewest cycles q of the slowest beat in which every
+        # beat makes whole cycles; without beats one step is a period
+        beats = np.abs(gfreqs[gfreqs != 0.0])
+        period_us = dt_max
+        if beats.size:
+            x = np.arange(1, _MAX_CYCLES + 1)[:, None] * (beats / beats.min())
+            whole = np.nonzero((np.abs(x - np.round(x)) <= _PERIOD_TOL).all(axis=1))[0]
+            if not whole.size:
+                raise ValueError(
+                    f"{model.describe()}: the detunings share no period within {_MAX_CYCLES} "
+                    "cycles of the slowest beat, which method 'jump' needs"
+                )
+            period_us = (int(whole[0]) + 1) * 2 * np.pi / float(beats.min())
+        steps = period_us / dt_max
+        if steps > _MAX_PERIOD:
+            raise ValueError(
+                f"b_gauss = {model.b_gauss:g} G is too low for method 'jump': its generator "
+                f"period of {period_us:.4g} us needs {steps:.0f} steps of at most {dt_max:g} us, "
+                f"more than {_MAX_PERIOD}"
+            )
+        n = self.period = ceil(steps - _PERIOD_TOL)
+        self.dt = period_us / n
 
-        self.period = _generator_period(self._gfreqs, self.dt)
-        self.lift: Optional[np.ndarray] = None
-        if self.period is not None:
-            n = self.period
-            levels = max((n - 1).bit_length(), _MIN_STRIDE_LOG2)
-            lift = np.empty((levels + 1, n, 6, 6), complex)
-            lift[0] = self.step_propagators(0, n)
-            for k in range(levels):
-                lift[k + 1] = lift[k][(np.arange(n) + (1 << k)) % n] @ lift[k]
-            self.lift = lift
-
-    def step_propagators(self, first: int, count: int) -> np.ndarray:
-        """No-jump propagators of steps ``first .. first+count-1``, midpoint generator."""
-        t_mid = (first + 0.5 + np.arange(count)) * self.dt
-        ph = np.exp(-1j * np.outer(t_mid, self._gfreqs))
-        return expm(np.einsum("nm,mij->nij", ph, self._gmats) * self.dt)
+        levels = max((n - 1).bit_length(), _MIN_STRIDE_LOG2)
+        lift = np.empty((levels + 1, n, 6, 6), complex)
+        # one step's propagator from its midpoint generator
+        ph = np.exp(-1j * np.outer((0.5 + np.arange(n)) * self.dt, gfreqs))
+        lift[0] = expm(np.einsum("nm,mij->nij", ph, gmats) * self.dt)
+        for k in range(levels):
+            lift[k + 1] = lift[k][(np.arange(n) + (1 << k)) % n] @ lift[k]
+        self.lift = lift
 
     def excitation_amplitudes(self, psi: np.ndarray, t: np.ndarray) -> list[np.ndarray]:
         """Per-color excited amplitudes of states (n, 6) at times (n,) -> [(n, 2)]."""
@@ -491,7 +504,7 @@ def _apply(mats: np.ndarray, psi: np.ndarray) -> np.ndarray:
 class _Trajectories:
     """State, random draws and jump/dark bookkeeping of one block of trajectories.
 
-    Shared by both stepping loops; rows are indexed by their position in the block.
+    Rows are indexed by their position in the block.
     """
 
     def __init__(
@@ -635,32 +648,6 @@ def _period_steps(run: _Trajectories, max_steps: int) -> None:
         rows, psi, step = rows[keep], psi[keep], step[keep]
 
 
-def _fine_steps(run: _Trajectories, max_steps: int) -> None:
-    """Step all rows in lockstep, one propagator per step, for generators without a period."""
-    eng = run.eng
-    rows, psi = run.active, run.psi
-    step = 0
-    props, props_lo = np.empty((0, 6, 6), complex), 0
-    while rows.size and step < max_steps:
-        for _ in range(min(_DARK_CHECK_EVERY, max_steps - step)):
-            if step - props_lo >= len(props):
-                props = eng.step_propagators(step, min(eng.PROP_CHUNK, max_steps - step))
-                props_lo = step
-            psi = psi @ props[step - props_lo].T
-            step += 1
-            hit = np.nonzero(_norms(psi) <= run.thresh[rows])[0]
-            if hit.size:
-                psi[hit] = run.jump(rows[hit], psi[hit], np.full(hit.size, step))
-                keep = ~run.done[rows]
-                rows, psi = rows[keep], psi[keep]
-                if not rows.size:
-                    return
-        run.dark(rows, psi)
-        keep = ~run.done[rows]
-        rows, psi = rows[keep], psi[keep]
-    run.capped[rows] = True
-
-
 def _jump_sample_block(
     eng: _JumpEngine,
     initial_idx: int,
@@ -672,10 +659,7 @@ def _jump_sample_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantum-jump sampling of n trajectories; returns (counts, capped)."""
     run = _Trajectories(eng, initial_idx, seed, first_trial, n, max_jumps)
-    if eng.period is None:
-        _fine_steps(run, max_steps)
-    else:
-        _period_steps(run, max_steps)
+    _period_steps(run, max_steps)
     return run.counts, run.capped
 
 
@@ -698,6 +682,11 @@ def simulate_pumping(
     never brighten), or when it exceeds the jump/step caps.
 
     Raises NonTerminatingError if more than 1% of trajectories hit a cap.
+    Under ``method="jump"`` raises ValueError, before any propagator table is
+    built, when the model's detunings share no period, when its period needs
+    more than ``_MAX_PERIOD`` steps (standard beams below about 0.0044 G), or
+    when its frequencies overflow (fields above about 5e294 G).  The ``chain``
+    method needs no period.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -881,10 +870,6 @@ class DarkState:
 
     amplitudes: np.ndarray  # over (d-3/2, d-1/2, d+1/2, d+3/2)
     stationary: bool
-
-    @property
-    def is_basis_state(self) -> bool:
-        return np.count_nonzero(np.abs(self.amplitudes) > 1e-12) == 1
 
 
 def find_dark_states(

@@ -98,10 +98,6 @@ class PopulationEstimate:
     background_scaled_by_efficiency: bool = True
     residual_norm: float = 0.0
 
-    @property
-    def physical(self) -> bool:
-        return not self.out_of_bounds
-
 
 def solve_s(n_plus: float, n_minus: float) -> tuple[float, float]:
     """Two-state estimator from the sigma+ and sigma- trial means.

@@ -43,7 +43,7 @@ class TestZeemanState:
 
 class TestConstants:
     def test_branching(self):
-        assert BA138.branching_s_over_d == pytest.approx(3.0)
+        assert BA138.branching_to_s / BA138.branching_to_d == pytest.approx(3.0)
         assert BA138.branching_to_s + BA138.branching_to_d == pytest.approx(1.0)
 
     def test_invalid_constants_rejected(self):

@@ -314,6 +314,30 @@ class TestCliProcess:
         assert rc == 1
         assert "trials" in capsys.readouterr().err
 
+    @staticmethod
+    def run_with(tmp_path, experiment, **params):
+        path = tmp_path / "run.cfg"
+        body = "".join(f"{k} = {v}\n" for k, v in params.items())
+        path.write_text(f"[run]\nexperiment = {experiment}\n\n[params]\n{body}")
+        return main([experiment, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+
+    @pytest.mark.parametrize("b_gauss", ["1e300", "0.0005"])
+    def test_jump_method_outside_its_field_range_names_b_gauss(self, tmp_path, capsys, b_gauss):
+        # 1e300 G overflows the generator frequencies; at 0.0005 G the first
+        # row's period needs more steps than the engine tabulates
+        assert self.run_with(tmp_path, "detmatrix_d", b_gauss=b_gauss, method="jump", trials=4) == 2
+        err = capsys.readouterr().err
+        assert "b_gauss" in err
+        assert "Traceback" not in err
+
+    def test_chain_method_runs_below_the_jump_field_range(self, tmp_path):
+        assert self.run_with(tmp_path, "detmatrix_d", b_gauss=0.0005, method="chain", trials=200) == 0
+
+    @pytest.mark.parametrize("experiment, key", [("ramsey", "max_delay_s"), ("benchmark", "synth_target_t2_s")])
+    def test_huge_coherence_times_end_without_a_traceback(self, tmp_path, capsys, experiment, key):
+        assert self.run_with(tmp_path, experiment, **{key: 1e300}) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestRunApi:
     def test_run_returns_written_paths(self, tmp_path):

@@ -3,7 +3,8 @@
 ``golden_digests.txt`` holds the sha256 of every file each case below writes,
 ``resolved.cfg`` included.  Only outputs that are the same on every platform
 are pinned: sampled chain matrices, small-trial jump matrices (integer photon
-counts; one at 0.1 G, where both stepping paths run), tomography from the exact chain matrix, dark states and the
+counts; one at 0.1 G, where the time step is below its 0.05 us cap on every
+row), tomography from the exact chain matrix, dark states and the
 synthetic-qubit preparation.  A change that moves these bytes must say why
 and regenerate the file, from the repository root, with::
 
@@ -24,7 +25,7 @@ CASES = {
     "detmatrix_d-chain": ("detmatrix_d", 1, {"method": "chain", "trials": 3000}),
     "detmatrix_s-chain": ("detmatrix_s", 2, {"method": "chain", "trials": 3000}),
     "detmatrix_d-jump": ("detmatrix_d", 3, {"method": "jump", "trials": 24}),
-    # at 0.1 G the sigma+pi and sigma-pi rows have no period and are fine-stepped
+    # at 0.1 G every row's period takes the next whole number of 0.05 us steps
     "detmatrix_d-jump-lowfield": ("detmatrix_d", 8, {"method": "jump", "trials": 16, "b_gauss": 0.1}),
     "detmatrix_s-jump": ("detmatrix_s", 4, {"method": "jump", "trials": 40}),
     "tomo-chain": ("tomo", 5, {"matrix_source": "chain"}),

@@ -28,11 +28,6 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(harmonics=((0.0, 1.0),))
 
-    def test_power_line_constructor(self):
-        n = NoiseModel.with_power_line(0.5, 0.2, fundamental_hz=60.0, n_harmonics=3)
-        assert [f for f, _ in n.harmonics] == [60.0, 120.0, 180.0]
-        assert n.harmonics[0][1] == pytest.approx(0.2)
-
 
 class TestRamseyScan:
     def test_no_dephasing_channel_keeps_full_contrast(self):
@@ -174,7 +169,7 @@ def test_profile_matches_bounded_linear_least_squares(amplitude, floor):
         (2.8, NoiseModel(sigma_b_mg=SIGMA_96US), 96e-6, 10_000, 3),
         (2.24, NoiseModel(sigma_b_mg=SIGMA_96US), 120e-6, 2000, 5),
         (0.0, NoiseModel(residual_rate_per_s=1 / 350e-6), 350e-6, 10_000, 2),
-        (2.8, NoiseModel.with_power_line(0.5, 0.3, 1000.0), 100e-6, 1000, 7),
+        (2.8, NoiseModel(0.5, tuple((1000.0 * (k + 1), 0.3 / (k + 1)) for k in range(3))), 100e-6, 1000, 7),
         (2.8, NoiseModel(sigma_b_mg=SIGMA_96US), 96e-6, 200, 11),
         (2.8, NoiseModel(sigma_b_mg=SIGMA_96US, residual_rate_per_s=1500.0), 96e-6, 10_000, 0),
     ],

@@ -1,5 +1,5 @@
-import copy
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqubit.atom import BA138, Manifold, Polarization, ZeemanState, cg_coefficient, zeeman_shift
+from dqubit.atom import (
+    BA138,
+    Manifold,
+    Polarization,
+    ZeemanState,
+    cg_coefficient,
+    zeeman_shift,
+    zeeman_splitting,
+)
 from dqubit.scatter import (
     BeamColor,
     BeamConfig,
@@ -27,7 +35,16 @@ from dqubit.scatter import (
     simulate_pumping,
     standard_beam,
 )
-from dqubit.scatter import _DECAY, _DECAY_PROBS, EXCITED_STATES, _coupling, _jump_sample_block
+from dqubit.scatter import (
+    _DECAY,
+    _DECAY_PROBS,
+    _MAX_PERIOD,
+    EXCITED_STATES,
+    _Trajectories,
+    _coupling,
+    _jump_sample_block,
+    _norms,
+)
 
 from oracles import chain_counts_by_value_iteration, sympy_cg
 
@@ -42,6 +59,15 @@ def s_model(b=2.2, probe=SP, intensity=0.05):
 
 def d_model(pols, b=2.2, intensity=0.05):
     return build_model(b, d_detection_beams(pols, b, intensity))
+
+
+def excitation_rate(model, state):
+    """Total excitation rate out of a basis state, 1/us."""
+    return model._chain_rates[GROUND_STATES.index(state)].sum()
+
+
+def is_basis_state(dark):
+    return np.count_nonzero(np.abs(dark.amplitudes) > 1e-12) == 1
 
 
 class TestBeamConfig:
@@ -65,16 +91,16 @@ class TestBuildModel:
         blue = standard_beam(BeamColor.BLUE_493, (SP, SM, PI), 2.2)
         model = build_model(2.2, [blue])
         for st in D:
-            assert model.excitation_rate_of(st) == 0.0
-        assert model.excitation_rate_of(S_DOWN) > 0
+            assert excitation_rate(model, st) == 0.0
+        assert excitation_rate(model, S_DOWN) > 0
 
     def test_sigma_plus_red_leaves_top_states_dark(self):
         red = standard_beam(BeamColor.RED_650, (SP,), 2.2)
         blue = standard_beam(BeamColor.BLUE_493, (SP, SM, PI), 2.2)
         model = build_model(2.2, [red, blue])
-        assert model.excitation_rate_of(D[2]) == 0.0
-        assert model.excitation_rate_of(D[3]) == 0.0
-        assert model.excitation_rate_of(D[0]) > 0
+        assert excitation_rate(model, D[2]) == 0.0
+        assert excitation_rate(model, D[3]) == 0.0
+        assert excitation_rate(model, D[0]) > 0
 
     def test_zero_field_flagged(self):
         with pytest.warns(UserWarning, match="zero magnetic field"):
@@ -227,18 +253,37 @@ class TestSimulatePumping:
             simulate_pumping(s_model(), S_DOWN, 10, seed=1, method="exact")
 
 
-# every row of the default D and S detection matrices, with the states it reads out
-STANDARD_ROWS = [(label, d_detection_beams(pols, 2.2), D) for label, pols in D_SETTINGS] + [
-    (label, s_detection_beams(probe, 2.2), (S_DOWN, S_UP))
-    for label, probe in (("s-sigma+", SP), ("s-sigma-", SM))
-]
+def standard_rows(b):
+    """Every row of the default D and S detection matrices at field b, with the states it reads out."""
+    return [(label, d_detection_beams(pols, b), D) for label, pols in D_SETTINGS] + [
+        (label, s_detection_beams(probe, b), (S_DOWN, S_UP))
+        for label, probe in (("s-sigma+", SP), ("s-sigma-", SM))
+    ]
 
 
-def fine_stepped(eng):
-    """The same engine forced onto the fine-stepping path."""
-    fine = copy.copy(eng)
-    fine.period = None
-    return fine
+STANDARD_ROWS = [(b, *row) for b in (2.2, 0.1) for row in standard_rows(b)]
+
+
+def lockstep(eng, initial_idx, seed, first_trial, n, max_jumps, max_steps):
+    """Reference sampler: every row takes one ``eng.lift[0]`` step at a time.
+
+    Jumps and dark checks use the engine's ``_Trajectories`` bookkeeping; the
+    dark check runs every 16 steps and at the step cap.
+    """
+    run = _Trajectories(eng, initial_idx, seed, first_trial, n, max_jumps)
+    rows, psi, step = run.active, run.psi, 0
+    while rows.size and step < max_steps:
+        psi = psi @ eng.lift[0][step % eng.period].T
+        step += 1
+        hit = np.nonzero(_norms(psi) <= run.thresh[rows])[0]
+        if hit.size:
+            psi[hit] = run.jump(rows[hit], psi[hit], np.full(hit.size, step))
+        if step % 16 == 0 or step == max_steps:
+            run.dark(rows, psi)
+        keep = ~run.done[rows]
+        rows, psi = rows[keep], psi[keep]
+    run.capped[rows] = True
+    return run.counts, run.capped
 
 
 def engine_nbytes(eng):
@@ -252,41 +297,59 @@ def incommensurate_model():
     return build_model(2.2, (red, blue))
 
 
+def assert_chain_sampling_is_exact(model, state):
+    exact = chain_expected_counts(model, state)
+    res = simulate_pumping(model, state, 400, seed=6, method="chain")
+    assert res.capped_fraction == 0.0
+    assert res.mean == pytest.approx(exact, abs=4 * res.sem)
+
+
 class TestJumpEngine:
-    @pytest.mark.parametrize("label,beams,states", STANDARD_ROWS, ids=[r[0] for r in STANDARD_ROWS])
-    def test_period_path_matches_fine_stepping(self, label, beams, states):
+    @pytest.mark.parametrize(
+        "b,label,beams,states", STANDARD_ROWS, ids=[f"{r[0]}G-{r[1]}" for r in STANDARD_ROWS]
+    )
+    def test_strided_steps_match_lockstep_reference(self, b, label, beams, states):
         # every state up to a step cap that ends mid-stride, then the first
         # bright state until every trajectory is dark
-        model = build_model(2.2, beams)
+        model = build_model(b, beams)
         eng = model._jump_engine
-        assert eng.period is not None
         bright = next(s for s in states if chain_expected_counts(model, s) > 0)
         cells = [(s, 24, 1000) for s in states] + [(bright, 8, 400_000)]
         for ci, (state, n, max_steps) in enumerate(cells):
             args = (GROUND_STATES.index(state), 40 + ci, 0, n, 400, max_steps)
             counts, capped = _jump_sample_block(eng, *args)
-            ref_counts, ref_capped = _jump_sample_block(fine_stepped(eng), *args)
+            ref_counts, ref_capped = lockstep(eng, *args)
             assert np.array_equal(counts, ref_counts)
             assert np.array_equal(capped, ref_capped)
 
-    def test_incommensurate_detuning_falls_back_to_fine_stepping(self):
+    def test_incommensurate_detuning_raises_under_jump(self):
         model = incommensurate_model()
-        assert model._jump_engine.period is None
-        assert model._jump_engine.lift is None
-        exact = chain_expected_counts(model, D[1])
-        res = simulate_pumping(model, D[1], 400, seed=6)
-        assert res.capped_fraction == 0.0
-        assert res.mean == pytest.approx(exact, abs=3 * res.sem)
+        with pytest.raises(ValueError, match="share no period"):
+            simulate_pumping(model, D[1], 400, seed=6)
+        assert_chain_sampling_is_exact(model, D[1])
 
-    def test_incommensurate_combination_override_has_no_period(self):
+    def test_incommensurate_combination_override_raises_under_jump(self):
         red, blue = d_detection_beams((SP, PI), 2.2)
         red = replace(red, detuning_hz={SP: -1.2345e6, PI: 0.0})
-        assert build_model(2.2, (red, blue))._jump_engine.period is None
+        model = build_model(2.2, (red, blue))
+        with pytest.raises(ValueError, match="share no period"):
+            model._jump_engine
+        assert_chain_sampling_is_exact(model, D[0])
 
-    def test_low_field_rows_reach_both_stepping_paths(self):
-        # at 0.1 G dt is capped, so only the single-polarization rows have a period
-        periods = {label: d_model(pols, b=0.1)._jump_engine.period for label, pols in D_SETTINGS}
-        assert periods == {"sigma+": 500, "sigma-": 500, "pi": 500, "sigma+pi": None, "sigma-pi": None}
+    def test_low_field_periods_are_exact(self):
+        # dt is capped at 0.05 us, so each period takes the next whole step count
+        rows = {label: build_model(0.1, beams)._jump_engine for label, beams, _ in standard_rows(0.1)}
+        assert {label: eng.period for label, eng in rows.items()} == {
+            "sigma+": 72, "sigma-": 72, "pi": 72, "sigma+pi": 358, "sigma-pi": 358,
+            "s-sigma+": 179, "s-sigma-": 179,
+        }
+        # one S splitting cycle, two D cycles and one D cycle (microseconds)
+        cycle_s = 1e6 / zeeman_splitting(Manifold.S_HALF, 0.1)
+        cycle_d = 1e6 / zeeman_splitting(Manifold.D_THREE_HALF, 0.1)
+        for label, cycle in (("pi", cycle_s), ("sigma+pi", 2 * cycle_d), ("s-sigma+", cycle_d)):
+            eng = rows[label]
+            assert eng.period * eng.dt == pytest.approx(cycle, rel=1e-12)
+            assert eng.dt <= 0.05
 
     def test_engine_size_is_fixed_by_the_model(self):
         for model in (d_model((SP, PI)), s_model()):
@@ -294,12 +357,44 @@ class TestJumpEngine:
             stride = 2 ** (eng.lift.shape[0] - 1)
             assert eng.lift.shape[1:] == (eng.period, 6, 6)
             assert stride // 2 < max(eng.period, 32) <= stride
-        for model in (d_model((SP, PI)), incommensurate_model()):
+        for model in (d_model((SP, PI)), d_model((SP, PI), b=0.1)):
             eng = model._jump_engine
             size = engine_nbytes(eng)
             for max_steps in (50, 5000, 400_000, 4_000_000):
                 _jump_sample_block(eng, 2, 3, 0, 16, 400, max_steps)
                 assert engine_nbytes(eng) == size
+
+    def test_lowest_admitted_field_stays_within_the_table_budget(self):
+        # the combination rows have the longest period: 8117 steps at 0.0044 G
+        eng = d_model((SP, PI), b=0.0044)._jump_engine
+        assert eng.period <= _MAX_PERIOD
+        assert eng.lift.nbytes <= (_MAX_PERIOD.bit_length()) * _MAX_PERIOD * 36 * 16  # 66 MB
+
+    @pytest.mark.parametrize("b_gauss", [0.0005, 0.0043, 1e300])
+    def test_field_out_of_range_raises_before_allocating(self, b_gauss):
+        model = d_model((SP, PI), b=b_gauss)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="b_gauss"):
+                model._jump_engine
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 // 4
+
+
+@pytest.mark.parametrize("b_gauss", [0.1, 0.02])
+def test_low_field_single_polarization_rows_match_the_chain(b_gauss):
+    # no coherences form under one red polarization: the chain is exact there
+    for ri, (_, pols) in enumerate(D_SETTINGS[:3]):
+        model = d_model(pols, b=b_gauss)
+        ref = chain_counts_by_value_iteration(model._chain_rates, model._decay_probs)
+        for ci, state in enumerate(D):
+            if ref[2 + ci] == 0:
+                continue
+            res = simulate_pumping(model, state, 400, seed=2100 + 10 * ri + ci)
+            assert res.capped_fraction == 0.0
+            assert res.mean == pytest.approx(ref[2 + ci], abs=4 * res.sem)
 
 
 _BLOCK_MODEL = d_model((SP, PI))
@@ -356,7 +451,7 @@ class TestDetectionMatrixD:
         for ri, (_, pols) in enumerate(D_SETTINGS):
             dark = find_dark_states(pols, 2.2)
             for ds in dark:
-                if ds.is_basis_state:
+                if is_basis_state(ds):
                     expected[ri, int(np.argmax(np.abs(ds.amplitudes)))] = True
         assert (zero_pattern == expected).all()
 
@@ -407,14 +502,14 @@ class TestDarkStates:
     def test_sigma_plus_gives_two_stationary_eigenstates(self):
         dark = find_dark_states([SP], 2.2)
         assert len(dark) == 2
-        assert all(d.stationary and d.is_basis_state for d in dark)
+        assert all(d.stationary and is_basis_state(d) for d in dark)
         supports = sorted(int(np.argmax(np.abs(d.amplitudes))) for d in dark)
         assert supports == [2, 3]  # d+1/2 and d+3/2
 
     def test_pi_gives_two_stationary_edge_states(self):
         dark = find_dark_states([PI], 2.2)
         assert len(dark) == 2
-        assert all(d.stationary and d.is_basis_state for d in dark)
+        assert all(d.stationary and is_basis_state(d) for d in dark)
         supports = sorted(int(np.argmax(np.abs(d.amplitudes))) for d in dark)
         assert supports == [0, 3]
 
@@ -424,7 +519,7 @@ class TestDarkStates:
         assert len(dark) == 2
         stationary = [d for d in dark if d.stationary]
         assert len(stationary) == 1
-        assert stationary[0].is_basis_state
+        assert is_basis_state(stationary[0])
         assert int(np.argmax(np.abs(stationary[0].amplitudes))) == 3
 
     def test_common_detuning_tags_everything_stationary(self):

@@ -96,7 +96,6 @@ class TestSolveDirect:
         c = CountsVector(values=vals, trials=2000)
         est = solve_direct(c, reference_matrix)
         assert est.out_of_bounds
-        assert not est.physical
         assert (est.populations < -1e-9).any()
 
     def test_poisson_low_trials_flags_some_seeds(self, reference_matrix):
