@@ -20,7 +20,10 @@ Stream layout of one pumping trajectory (trial ``t`` of a cell seeded ``s``):
   column ``j``; the decay channel of jump ``j`` is column ``max_jumps + 1 + j``.
 
 Samplers fetch these columns in windows, for live trajectories only, so a
-trajectory costs the draws it uses rather than the whole stream.
+trajectory costs the draws it uses rather than the whole stream.  A block of
+jump trajectories may hold several cells: ``uniform_table`` then takes one
+seed per row, so the block refills every window in one call, and each row
+still reads its own cell's stream.
 """
 from __future__ import annotations
 
@@ -61,18 +64,18 @@ def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_hi * _MULT_HI + (t >> _SHIFT32) + (mid >> _SHIFT32), x * _MULT
 
 
-def _philox_blocks(seed: int, trials: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 output words (n, k, 4) of keys (seed, trials) at counters (c, 0, 0, 0).
+def _philox_blocks(seeds: np.ndarray, trials: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 output words (n, k, 4) of keys (seeds, trials) at counters (c, 0, 0, 0).
 
-    ``trials`` is (n, 1) and ``counters`` (n, k), both uint64.  The four words
-    are kept as two stacked pairs, ``x = (w0, w2)``, which a round multiplies,
-    and ``y = (w1, w3)``; one round is ``x, y = hi[::-1] ^ y ^ key, lo[::-1]``.
+    ``seeds`` and ``trials`` are (n, 1) and ``counters`` (n, k), all uint64.  The
+    four words are kept as two stacked pairs, ``x = (w0, w2)``, which a round
+    multiplies, and ``y = (w1, w3)``; one round is ``x, y = hi[::-1] ^ y ^ key, lo[::-1]``.
     """
     x = np.zeros((2,) + counters.shape, np.uint64)
     x[0] = counters
     y = np.zeros_like(x)
     key = np.empty((2,) + trials.shape, np.uint64)
-    key[0], key[1] = seed, trials
+    key[0], key[1] = seeds, trials
     for r in range(_ROUNDS):
         if r:
             key += _WEYL
@@ -82,7 +85,7 @@ def _philox_blocks(seed: int, trials: np.ndarray, counters: np.ndarray) -> np.nd
 
 
 def uniform_table(
-    seed: int,
+    seed,
     first_trial: int,
     n_trials: int,
     n_draws: int,
@@ -92,10 +95,15 @@ def uniform_table(
     """(n_trials, n_draws) uniforms: row i holds draws ``first_draw[i] ..`` of its trial.
 
     Row i belongs to trial ``first_trial + rows[i]`` (``rows`` defaults to
-    ``0 .. n_trials-1``).  ``first_draw`` is one stream position for every
-    row or one per row.  Entry (i, j) equals draw ``first_draw[i] + j`` of
-    ``substream(seed, first_trial + rows[i]).random``.
+    ``0 .. n_trials-1``) of seed ``seed[i]``: ``seed`` is one int for every
+    row or an integer array with one seed per row.  ``first_draw`` is one
+    stream position for every row or one per row.  Entry (i, j) equals draw
+    ``first_draw[i] + j`` of ``substream(seed[i], first_trial + rows[i]).random``.
     """
+    if np.ndim(seed) == 0:
+        seeds = np.full(n_trials, int(seed) & _MASK64, np.uint64)
+    else:
+        seeds = np.asarray(seed).astype(np.uint64)
     offsets = np.arange(n_trials) if rows is None else np.asarray(rows)
     trials = offsets.astype(np.uint64) + np.uint64(first_trial & _MASK64)
     start = np.broadcast_to(np.asarray(first_draw, np.int64), (n_trials,))
@@ -104,9 +112,12 @@ def uniform_table(
     counters = ((start // 4 + 1)[:, None] + np.arange(n_blocks)).astype(np.uint64)
     # row slices of at most _CHUNK_BLOCKS blocks keep the round temporaries in cache
     step = max(1, _CHUNK_BLOCKS // max(n_blocks, 1))
-    words = np.empty((n_trials, n_blocks, 4), np.uint64)
+    out = np.empty((n_trials, n_draws))
     for i in range(0, n_trials, step):
-        words[i : i + step] = _philox_blocks(seed & _MASK64, trials[i : i + step, None], counters[i : i + step])
-    words = words.reshape(n_trials, 4 * n_blocks)
-    words = np.take_along_axis(words, lane[:, None] + np.arange(n_draws), axis=1)
-    return (words >> _SHIFT11) * 2.0**-53
+        part = slice(i, i + step)
+        words = _philox_blocks(seeds[part, None], trials[part, None], counters[part])
+        words = words.reshape(len(words), 4 * n_blocks)
+        words = np.take_along_axis(words, lane[part, None] + np.arange(n_draws), axis=1)
+        words >>= _SHIFT11
+        out[part] = words * 2.0**-53
+    return out

@@ -12,12 +12,16 @@ quantum jumps on the ground+metastable manifold.  Two simulation methods:
   method (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): a jump happens
   when the no-jump norm falls to a uniform draw.  The no-jump generator
   beats at detuning differences; the time grid splits their common period
-  into a whole number of steps.  Each trajectory advances a power-of-two
+  into a whole number of steps.  Trajectories run in blocks that may mix
+  the cells of several models: the models' step propagators are stacked on
+  one phase axis, and every trajectory advances the same power-of-two
   stride of steps per iteration from its own phase through precomputed
-  products, and only trajectories whose norm crossed their draw bisect back
-  to the crossing step.  Detunings without a common period, or a period
-  longer than ``_MAX_PERIOD`` steps (fields below about 0.0044 G with the
-  standard beams), raise ValueError.
+  products.  Only trajectories whose norm crossed their draw bisect back to
+  the crossing step.  A detection matrix steps all its bright cells in one
+  block while the stacked tables fit the budget of one ``_MAX_PERIOD``-step
+  model; ``simulate_pumping`` is a block of one cell.  Detunings without a
+  common period, or a period longer than ``_MAX_PERIOD`` steps (fields below
+  about 0.0044 G with the standard beams), raise ValueError.
 * ``chain`` - the classical embedded Markov chain over basis states
   (excitation branching by line strength, decay branching by the 3:1 rule).
   Exact for single-polarization settings, where no coherences form.
@@ -38,7 +42,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, isfinite, sqrt
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -253,6 +257,8 @@ def build_model(b_gauss: float, beams: Sequence[BeamConfig]) -> PumpModel:
     amplitude, with a complex Lorentzian denominator evaluated at each
     component's detuning from the Zeeman-shifted transition.  Decay uses the
     module tables: 3:1 S:D branching and line strengths within each manifold.
+    Raises ValueError naming ``b_gauss`` when a Zeeman shift or a detuning is
+    not finite (the standard beams' detunings overflow above about 6e301 G).
     """
     if b_gauss < 0:
         raise ValueError("magnetic field must be nonnegative")
@@ -270,6 +276,11 @@ def build_model(b_gauss: float, beams: Sequence[BeamConfig]) -> PumpModel:
     ang = 2e-6 * np.pi  # Hz -> rad/us
     zg = np.array([zeeman_shift(s, b_gauss) * ang for s in GROUND_STATES])
     ze = np.array([zeeman_shift(s, b_gauss) * ang for s in EXCITED_STATES])
+    detunings = [d for beam in beams for _, _, d in beam.components()]
+    if not (np.isfinite(zg).all() and np.isfinite(ze).all() and np.isfinite(detunings).all()):
+        raise ValueError(
+            f"b_gauss = {b_gauss:g} G: the Zeeman shifts or beam detunings overflow a float"
+        )
 
     per_color: dict[BeamColor, list] = {}
     for beam in beams:
@@ -377,8 +388,18 @@ _JUMP_WINDOW = 64  # jumps of threshold and channel draws fetched per trajectory
 DARK_RATE_FRACTION = 1e-6  # dark: time-averaged rate below this share of the largest basis-state rate
 _PERIOD_TOL = 1e-9  # cycles a generator frequency may miss a whole number by per period
 _MAX_CYCLES = 64  # a period spans at most this many cycles of the slowest generator beat
-_MAX_PERIOD = 8192  # steps per period; keeps the lift tables near 66 MB or less
+_MAX_PERIOD = 8192  # steps per period
+# (phase, level) entries of one block's lifts: what one _MAX_PERIOD-step model
+# needs, 37 MB as S and D blocks
+_MAX_TABLE = _MAX_PERIOD.bit_length() * _MAX_PERIOD
 _MIN_STRIDE_LOG2 = 5  # a period advance covers at least 32 steps
+_MAX_JUMPS, _MAX_STEPS, _BLOCK = 400, 400_000, 8192  # per-trajectory caps; trajectories per block
+# each beam drives one manifold and the model keeps no S-D Raman terms, so the
+# no-jump generator, and with it every step propagator, is block diagonal
+_MANIFOLDS = (slice(0, 2), slice(2, 6))
+# (2 excited, 6 channels) decay weights: in each channel every ground level is
+# reached from one excited level, so a channel's rate is sum_e |amplitude_e|^2 * weight
+_CHANNEL_WEIGHTS = (_DECAY**2).sum(axis=1).T
 
 
 class _JumpEngine:
@@ -388,19 +409,17 @@ class _JumpEngine:
     differences that must all be whole multiples of one fundamental, as they
     are for the standard beams (g_S/g_D = 5/2).  Its period ``T`` is split into
     the fewest ``period`` steps whose ``dt = T / period`` is at most 0.05 us and
-    1/28 cycle of the fastest frequency.  ``lift[k, p]`` is the product of
-    ``2**k`` step propagators starting at phase ``p`` (step ``p`` mod ``period``),
-    up to ``2**k = stride``, the first power of two >= max(``period``, 32): one
-    exponential call and ``log2(stride)`` batched products per model, and a
-    size fixed by the model, not by how long trajectories run.  A model whose
-    beats share no period, or whose period needs more than ``_MAX_PERIOD``
-    steps, raises ValueError before any table is allocated.
+    1/28 cycle of the fastest frequency.  ``propagators()`` evaluates the step
+    propagator at each phase ``p`` (step ``p`` mod ``period``) in one
+    exponential call, for the block that stacks it (``_Trajectories``); the
+    engine keeps only the generator's Fourier terms.  ``2**levels`` is the
+    first power of two >= max(``period``, 32), the stride this model needs.
+    A model whose beats share no period, or whose period needs more than
+    ``_MAX_PERIOD`` steps, raises ValueError before any table is allocated.
     """
 
     def __init__(self, model: PumpModel):
         self.colors = model._colors
-        # decay amplitudes (excited, channel * ground): one jump's post-jump states per channel
-        self.decay = _DECAY.transpose(2, 0, 1).reshape(2, -1)
 
         # steps of at most 0.05 us and 1/28 cycle of the fastest frequency
         freqs = [0.0]
@@ -428,7 +447,9 @@ class _JumpEngine:
         self.term_map = (
             np.array(list(rows.values())) if rows else np.zeros((1, 6), complex)
         )
-        self.rate_ref = _GAMMA * (np.abs(self.term_map) ** 2).sum(axis=0).max()
+        basis_rates = _GAMMA * (np.abs(self.term_map) ** 2).sum(axis=0)
+        self.rate_ref = basis_rates.max()
+        self.dark_basis = basis_rates < DARK_RATE_FRACTION * self.rate_ref
 
         # the no-jump generator is a finite Fourier sum of constant matrices:
         # G(t) = sum_m exp(-i w_m t) C_m over component detuning differences
@@ -467,96 +488,156 @@ class _JumpEngine:
             )
         n = self.period = ceil(steps - _PERIOD_TOL)
         self.dt = period_us / n
+        self.levels = max((n - 1).bit_length(), _MIN_STRIDE_LOG2)
+        self._gfreqs, self._gmats = gfreqs, gmats
 
-        levels = max((n - 1).bit_length(), _MIN_STRIDE_LOG2)
-        lift = np.empty((levels + 1, n, 6, 6), complex)
-        # one step's propagator from its midpoint generator
-        ph = np.exp(-1j * np.outer((0.5 + np.arange(n)) * self.dt, gfreqs))
-        lift[0] = expm(np.einsum("nm,mij->nij", ph, gmats) * self.dt)
-        for k in range(levels):
-            lift[k + 1] = lift[k][(np.arange(n) + (1 << k)) % n] @ lift[k]
-        self.lift = lift
+    def propagators(self) -> np.ndarray:
+        """(period, 6, 6) step propagators, phase by phase, each from its step's midpoint generator."""
+        ph = np.exp(-1j * np.outer((0.5 + np.arange(self.period)) * self.dt, self._gfreqs))
+        return expm(np.einsum("nm,mij->nij", ph, self._gmats) * self.dt)
 
-    def excitation_amplitudes(self, psi: np.ndarray, t: np.ndarray) -> list[np.ndarray]:
-        """Per-color excited amplitudes of states (n, 6) at times (n,) -> [(n, 2)]."""
-        out = []
-        for Bks, _, deltas in self.colors:
-            ph = np.exp(-1j * np.outer(t, deltas))
-            amp = (psi @ Bks.reshape(-1, 6).T).reshape(len(psi), len(deltas), 2)
-            out.append(np.einsum("nk,nke->ne", ph, amp))
-        return out
 
-    def secular_rates(self, psi_normed: np.ndarray) -> np.ndarray:
-        """Time-averaged scattering rate of normalized states; zero iff permanently dark."""
-        amp = psi_normed @ self.term_map.T
-        return _GAMMA * (np.abs(amp) ** 2).sum(axis=1)
+def _table_size(engines: Sequence[_JumpEngine]) -> int:
+    """(phase, level) entries of the lifts of a block over these engines."""
+    return (max(e.levels for e in engines) + 1) * sum(e.period for e in engines)
 
 
 def _norms(psi: np.ndarray) -> np.ndarray:
     return (psi.real**2 + psi.imag**2).sum(axis=1)
 
 
-def _apply(mats: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Row-wise products ``mats[i] @ psi[i]`` for (n, 6, 6) and (n, 6)."""
-    return np.einsum("nij,nj->ni", mats, psi)
+def _apply(lift: Sequence[np.ndarray], k: int, phase: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Row-wise products of level-``k`` lifts at ``phase[i]`` with states ``psi[i]`` (n, 6)."""
+    out = np.empty_like(psi)
+    for table, b in zip(lift, _MANIFOLDS):
+        out[:, b] = np.einsum("nij,nj->ni", table[k, phase], psi[:, b])
+    return out
 
 
 class _Trajectories:
-    """State, random draws and jump/dark bookkeeping of one block of trajectories.
+    """Tables, state, random draws and jump/dark bookkeeping of one block of trajectories.
 
-    Rows are indexed by their position in the block.
+    ``cells`` lists ``(engine, initial_idx, seed, first_trial, n)``: trials
+    ``first_trial .. first_trial + n - 1`` of a cell seeded ``seed``.  Rows are
+    indexed by their position in the block, cell after cell.
+
+    The block's distinct models share one phase axis: phase ``p`` of model
+    ``m`` is entry ``off[m] + p`` of level ``k`` of the lifts, the product of
+    ``2**k`` step propagators from that phase, and its successor ``2**k``
+    steps on is ``off[m] + (p + 2**k) % period[m]``.  ``lift`` holds the S
+    (2x2) and D (4x4) blocks of these products apart, since no beam couples
+    the two manifolds.  The lifts reach the longest stride any of the models
+    needs, so every row advances one stride per iteration.  Each model's
+    excitation amplitudes and dark-check map are stacked once, zero-padded to
+    common color, component and group counts.
     """
 
-    def __init__(
-        self, eng: _JumpEngine, initial_idx: int, seed: int, first_trial: int, n: int, max_jumps: int
-    ):
-        self.eng = eng
-        self.seed, self.first_trial = seed, first_trial
+    def __init__(self, cells: Sequence[tuple], max_jumps: int):
+        engines = list({id(c[0]): c[0] for c in cells}.values())
+        which = {id(e): m for m, e in enumerate(engines)}
+        sizes = [c[4] for c in cells]
+        self.model = np.repeat([which[id(c[0])] for c in cells], sizes)
+        self.seed = np.repeat(np.array([c[2] % 2**64 for c in cells], np.uint64), sizes)
+        self.trial = np.concatenate([np.arange(c[3], c[3] + c[4]) for c in cells])
+
+        # excitation amplitudes, rows (color, component, excited), and the dark
+        # check's single-frequency groups, stacked by model
+        ncol = max(len(e.colors) for e in engines)
+        ncomp = max(len(d) for e in engines for _, _, d in e.colors)
+        ngroup = max(len(e.term_map) for e in engines)
+        exc = np.zeros((len(engines), ncol, ncomp, 2, 6), complex)
+        self.freq = np.zeros((len(engines), ncol, ncomp))
+        self.term = np.zeros((len(engines), ngroup, 6), complex)
+        for m, e in enumerate(engines):
+            for c, (Bks, _, deltas) in enumerate(e.colors):
+                exc[m, c, : len(deltas)] = Bks
+                self.freq[m, c, : len(deltas)] = deltas
+            self.term[m, : len(e.term_map)] = e.term_map
+        self.exc = exc.reshape(len(engines), -1, 6)
+        self.rate_ref = np.array([e.rate_ref for e in engines])
+        self.dt = np.array([e.dt for e in engines])
+
+        n = self.model.size
         self.max_jumps = max_jumps
         self.counts = np.zeros(n, np.int64)
         self.jumps = np.zeros(n, np.int64)
         self.capped = np.zeros(n, bool)
         self.done = np.zeros(n, bool)
-        psi = np.zeros((n, 6), complex)
-        psi[:, initial_idx] = 1.0
-        # dark initial states terminate immediately
-        self.dark(np.arange(n), psi)
-        self.active = np.nonzero(~self.done)[0]
-        self.psi = psi[self.active]  # initial states of the active rows
+        self.psi = np.zeros((n, 6), complex)  # initial states
+        self.psi[np.arange(n), np.repeat([c[1] for c in cells], sizes)] = 1.0
         # per row, the threshold and channel draws of _JUMP_WINDOW jumps;
         # col is the window column of the row's current jump
-        self.u_thresh = np.zeros((n, _JUMP_WINDOW))
-        self.u_chan = np.zeros((n, _JUMP_WINDOW))
+        self.u_thresh, self.u_chan = np.split(self._draws(np.arange(n)), 2)
         self.col = np.zeros(n, np.int64)
-        if self.active.size:
-            self._fetch(self.active)
         self.thresh = self.u_thresh[:, 0].copy()
 
-    def _fetch(self, rows: np.ndarray) -> None:
-        """Refill the rows' draw windows from their current jump on (column 0).
+        # stacked step propagators and their lifts, built after the first
+        # draws so that the table's temporaries and the lifts do not overlap
+        period = np.array([e.period for e in engines])
+        off = np.cumsum(period) - period
+        self.row_off, self.row_period = off[self.model], period[self.model]
+        self.levels = max(e.levels for e in engines)
+        self.lift = [
+            np.empty((self.levels + 1, int(period.sum()), b.stop - b.start, b.stop - b.start), complex)
+            for b in _MANIFOLDS
+        ]
+        for e, o in zip(engines, off):
+            props = e.propagators()
+            for lift, b in zip(self.lift, _MANIFOLDS):
+                lift[0, o : o + e.period] = props[:, b, b]
+        phase = np.concatenate([np.arange(p) for p in period])
+        base, cycle = np.repeat(off, period), np.repeat(period, period)
+        nxt = base + (phase + (1 << np.arange(self.levels))[:, None]) % cycle
+        for lift in self.lift:
+            for k in range(self.levels):
+                np.matmul(lift[k][nxt[k]], lift[k], out=lift[k + 1])
+
+    def _draws(self, rows: np.ndarray) -> np.ndarray:
+        """The rows' draw windows from their current jump on: thresholds, then channels.
 
         One table holds both streams: the rows' thresholds from column
         ``jumps``, then the same rows' channels from column ``max_jumps + 1 + jumps``.
         A window may run past its stream's last column; those draws are never read.
         """
         first = self.jumps[rows]
-        m = rows.size
-        u = uniform_table(
-            self.seed,
-            self.first_trial,
-            2 * m,
+        both = np.concatenate([rows, rows])
+        return uniform_table(
+            self.seed[both],
+            0,
+            both.size,
             _JUMP_WINDOW,
             np.concatenate([first, first + self.max_jumps + 1]),
-            np.concatenate([rows, rows]),
+            self.trial[both],
         )
-        self.u_thresh[rows], self.u_chan[rows] = u[:m], u[m:]
+
+    def _fetch(self, rows: np.ndarray) -> None:
+        """Refill the rows' draw windows from their current jump on (column 0)."""
+        self.u_thresh[rows], self.u_chan[rows] = np.split(self._draws(rows), 2)
         self.col[rows] = 0
+
+    def _by_model(self, models: np.ndarray, psi: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """Row-wise ``psi[i] @ tables[models[i]].T`` for (n, 6) states and (models, k, 6) tables."""
+        out = np.empty((len(psi), tables.shape[1]), complex)
+        for m, table in enumerate(tables):
+            sel = models == m
+            if sel.any():
+                out[sel] = psi[sel] @ table.T
+        return out
+
+    def _excitation(self, rows: np.ndarray, psi: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Per-color excited amplitudes (n, colors, 2) of the rows' states (n, 6) after ``steps``."""
+        models = self.model[rows]
+        freq = self.freq[models]  # (n, colors, components)
+        amp = self._by_model(models, psi, self.exc).reshape(*freq.shape, 2)
+        ph = np.exp(-1j * ((steps * self.dt[models])[:, None, None] * freq))
+        return np.einsum("nck,ncke->nce", ph, amp)
 
     def jump(self, rows: np.ndarray, psi: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Jump rows whose no-jump norm fell to their threshold at ``steps``.
 
-        Rows that already made ``max_jumps`` jumps are capped instead.  Returns
-        the rows' states afterwards (normalized where they jumped).
+        Rows that already made ``max_jumps`` jumps are capped instead.  Updates
+        ``psi`` in place to the rows' states afterwards (normalized where they
+        jumped) and returns it.
         """
         over = self.jumps[rows] >= self.max_jumps
         self.capped[rows[over]] = True
@@ -565,19 +646,15 @@ class _Trajectories:
         if not go.size:
             return psi
         glob = rows[go]
-        amps = self.eng.excitation_amplitudes(psi[go], steps[go] * self.eng.dt)
-        posts = np.concatenate(
-            [(a @ self.eng.decay).reshape(-1, 6, 6) for a in amps], axis=1
-        )  # (m, colors*6, 6)
-        rates = (posts.real**2 + posts.imag**2).sum(axis=2)
-        cum = np.cumsum(rates, axis=1)
+        exc = self._excitation(glob, psi[go], steps[go])  # (m, colors, excited)
+        cum = np.cumsum(((exc.real**2 + exc.imag**2) @ _CHANNEL_WEIGHTS).reshape(go.size, -1), axis=1)
         col = self.col[glob]
         pick = (self.u_chan[glob, col, None] * cum[:, -1:] > cum).sum(axis=1)
-        pick = np.minimum(pick, rates.shape[1] - 1)
-        new_psi = posts[np.arange(go.size), pick]
-        psi = psi.copy()
+        color, channel = np.divmod(np.minimum(pick, cum.shape[1] - 1), 6)
+        del cum
+        new_psi = np.einsum("ne,nge->ng", exc[np.arange(go.size), color], _DECAY[channel])
         psi[go] = new_psi / np.linalg.norm(new_psi, axis=1)[:, None]
-        self.counts[glob] += _CHANNEL_IS_S[pick % 6]
+        self.counts[glob] += _CHANNEL_IS_S[channel]
         self.jumps[glob] += 1
         col += 1
         self.col[glob] = col
@@ -589,9 +666,15 @@ class _Trajectories:
         return psi
 
     def dark(self, rows: np.ndarray, psi: np.ndarray) -> None:
-        """Mark done the rows whose time-averaged rate is below ``DARK_RATE_FRACTION`` of the reference."""
-        rsec = self.eng.secular_rates(psi / np.sqrt(_norms(psi))[:, None])
-        self.done[rows[rsec < DARK_RATE_FRACTION * self.eng.rate_ref]] = True
+        """Mark done the rows whose time-averaged rate is below ``DARK_RATE_FRACTION`` of the reference.
+
+        The time-averaged rate sums the single-frequency groups' scattering
+        rates; it is zero iff the state can never brighten.
+        """
+        mi = self.model[rows]
+        amp = self._by_model(mi, psi / np.sqrt(_norms(psi))[:, None], self.term)
+        rsec = _GAMMA * (np.abs(amp) ** 2).sum(axis=1)
+        self.done[rows[rsec < DARK_RATE_FRACTION * self.rate_ref[mi]]] = True
 
 
 def _period_steps(run: _Trajectories, max_steps: int) -> None:
@@ -602,11 +685,9 @@ def _period_steps(run: _Trajectories, max_steps: int) -> None:
     For the others, binary lifting over ``lift`` finds the last step above the
     threshold; one more step reaches the crossing, where the row jumps.
     """
-    eng = run.eng
-    lift, n = eng.lift, eng.period
-    levels = len(lift) - 1
+    lift, levels = run.lift, run.levels
     stride = 1 << levels
-    rows, psi = run.active, run.psi
+    rows, psi = np.arange(len(run.psi)), run.psi
     step = np.zeros(rows.size, np.int64)
     while True:
         cap = step >= max_steps
@@ -615,12 +696,13 @@ def _period_steps(run: _Trajectories, max_steps: int) -> None:
             rows, psi, step = rows[~cap], psi[~cap], step[~cap]
         if not rows.size:
             return
+        off, period = run.row_off[rows], run.row_period[rows]
         limit = np.minimum(stride, max_steps - step)
         thresh = run.thresh[rows]
         clear = np.zeros(rows.size, bool)
         full = np.nonzero(limit == stride)[0]
         if full.size:
-            adv = _apply(lift[levels, step[full] % n], psi[full])
+            adv = _apply(lift, levels, off[full] + step[full] % period[full], psi[full])
             ok = _norms(adv) > thresh[full]
             psi[full[ok]] = adv[ok]
             step[full[ok]] += stride
@@ -629,15 +711,18 @@ def _period_steps(run: _Trajectories, max_steps: int) -> None:
         sub = np.nonzero(~clear)[0]
         if sub.size:
             sub_psi, taken = psi[sub], np.zeros(sub.size, np.int64)
+            sub_off, sub_period, sub_step = off[sub], period[sub], step[sub]
             for k in range(levels - 1, -1, -1):
                 g = np.nonzero(taken + (1 << k) <= limit[sub])[0]
-                cand = _apply(lift[k, (step[sub[g]] + taken[g]) % n], sub_psi[g])
+                phase = sub_off[g] + (sub_step[g] + taken[g]) % sub_period[g]
+                cand = _apply(lift, k, phase, sub_psi[g])
                 ok = _norms(cand) > thresh[sub[g]]
                 sub_psi[g[ok]] = cand[ok]
                 taken[g[ok]] += 1 << k
             # a row that stopped short of its limit crosses on the next step
             hit = np.nonzero(taken < limit[sub])[0]
-            sub_psi[hit] = _apply(lift[0, (step[sub[hit]] + taken[hit]) % n], sub_psi[hit])
+            phase = sub_off[hit] + (sub_step[hit] + taken[hit]) % sub_period[hit]
+            sub_psi[hit] = _apply(lift, 0, phase, sub_psi[hit])
             taken[hit] += 1
             step[sub] += taken
             jumped = sub[hit]
@@ -648,19 +733,85 @@ def _period_steps(run: _Trajectories, max_steps: int) -> None:
         rows, psi, step = rows[keep], psi[keep], step[keep]
 
 
-def _jump_sample_block(
-    eng: _JumpEngine,
-    initial_idx: int,
-    seed: int,
-    first_trial: int,
-    n: int,
+def _blocks(cells: Sequence[tuple[int, _JumpEngine]], trials: int, block: int):
+    """Cut ``trials`` trajectories of each ``(cell, engine)`` into blocks of ``(cell, first_trial, n)``.
+
+    Cells fill blocks in order.  A block holds at most ``block`` trajectories,
+    so a cell's trials may be split between two blocks, and a new model joins
+    only while the stacked lifts stay within ``_MAX_TABLE`` entries (one
+    model alone always fits).
+    """
+    pieces: list[tuple[int, int, int]] = []
+    models: list[_JumpEngine] = []
+    size = 0
+    for c, eng in cells:
+        lo = 0
+        while lo < trials:
+            new = not any(e is eng for e in models)
+            if size == block or (new and _table_size(models + [eng]) > _MAX_TABLE):
+                yield pieces
+                pieces, models, size = [], [], 0
+                continue
+            n = min(trials - lo, block - size)
+            pieces.append((c, lo, n))
+            if new:
+                models.append(eng)
+            size += n
+            lo += n
+    if pieces:
+        yield pieces
+
+
+def _jump_counts(
+    cells: Sequence[tuple[PumpModel, int, int]],
+    trials: int,
     max_jumps: int,
     max_steps: int,
+    block: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantum-jump sampling of n trajectories; returns (counts, capped)."""
-    run = _Trajectories(eng, initial_idx, seed, first_trial, n, max_jumps)
-    _period_steps(run, max_steps)
-    return run.counts, run.capped
+    """Quantum-jump counts and caps (cells, trials) of every cell ``(model, initial_idx, seed)``.
+
+    Every engine is built, or raises ValueError, before any block runs.
+    Trajectories from a dark basis state end at once with no photon and
+    join no block.
+    """
+    engines = [model._jump_engine for model, _, _ in cells]
+    counts = np.zeros((len(cells), trials), np.int64)
+    capped = np.zeros((len(cells), trials), bool)
+    bright = [
+        (c, eng) for c, (eng, (_, idx, _)) in enumerate(zip(engines, cells)) if not eng.dark_basis[idx]
+    ]
+    for pieces in _blocks(bright, trials, block):
+        run = _Trajectories(
+            [(engines[c], cells[c][1], cells[c][2], lo, n) for c, lo, n in pieces], max_jumps
+        )
+        _period_steps(run, max_steps)
+        at = 0
+        for c, lo, n in pieces:
+            counts[c, lo : lo + n] = run.counts[at : at + n]
+            capped[c, lo : lo + n] = run.capped[at : at + n]
+            at += n
+    return counts, capped
+
+
+def _pump_result(model: PumpModel, counts: np.ndarray, capped: np.ndarray) -> PumpResult:
+    """Mean and standard error of one cell's counts; raises NonTerminatingError past 1% capped."""
+    trials = counts.size
+    capped_total = int(capped.sum())
+    frac = capped_total / trials
+    if frac > 0.01:
+        raise NonTerminatingError(
+            f"{capped_total}/{trials} trajectories failed to pump dark for "
+            f"configuration: {model.describe()}"
+        )
+    x = counts.astype(float)
+    total = x.sum()
+    sem = 0.0
+    if trials > 1:
+        sem = sqrt(max(0.0, (x @ x - total**2 / trials) / (trials - 1)) / trials)
+    return PumpResult(
+        mean=total / trials, sem=sem, trials=trials, capped_fraction=frac, counts=counts
+    )
 
 
 def simulate_pumping(
@@ -669,9 +820,9 @@ def simulate_pumping(
     trials: int,
     seed: int,
     method: str = "jump",
-    max_jumps: int = 400,
-    max_steps: int = 400_000,
-    block: int = 8192,
+    max_jumps: int = _MAX_JUMPS,
+    max_steps: int = _MAX_STEPS,
+    block: int = _BLOCK,
 ) -> PumpResult:
     """Mean and standard error of emitted blue photons until the ion is dark.
 
@@ -679,7 +830,9 @@ def simulate_pumping(
     always draws from the substream keyed (seed, t).  A trajectory ends when
     its time-averaged excitation rate falls below ``DARK_RATE_FRACTION`` times
     the largest basis-state rate (a state with zero time-averaged rate can
-    never brighten), or when it exceeds the jump/step caps.
+    never brighten), or when it exceeds the jump/step caps.  Under ``jump``
+    the cell is a one-cell run of the engine that detection matrices run on
+    all their cells at once.
 
     Raises NonTerminatingError if more than 1% of trajectories hit a cap.
     Under ``method="jump"`` raises ValueError, before any propagator table is
@@ -695,35 +848,14 @@ def simulate_pumping(
     if method not in ("jump", "chain"):
         raise ValueError(f"unknown method {method!r}")
     idx = _GROUND_INDEX[initial]
-
-    all_counts = []
-    capped_total = 0
-    for lo in range(0, trials, block):
-        n = min(block, trials - lo)
-        if method == "chain":
-            counts, capped = _chain_sample_block(model, idx, seed, lo, n, max_jumps)
-        else:
-            counts, capped = _jump_sample_block(
-                model._jump_engine, idx, seed, lo, n, max_jumps, max_steps
-            )
-        capped_total += int(capped.sum())
-        all_counts.append(counts)
-
-    frac = capped_total / trials
-    if frac > 0.01:
-        raise NonTerminatingError(
-            f"{capped_total}/{trials} trajectories failed to pump dark for "
-            f"configuration: {model.describe()}"
-        )
-    counts = np.concatenate(all_counts)
-    x = counts.astype(float)
-    total = x.sum()
-    sem = 0.0
-    if trials > 1:
-        sem = sqrt(max(0.0, (x @ x - total**2 / trials) / (trials - 1)) / trials)
-    return PumpResult(
-        mean=total / trials, sem=sem, trials=trials, capped_fraction=frac, counts=counts
-    )
+    if method == "jump":
+        counts, capped = _jump_counts([(model, idx, seed)], trials, max_jumps, max_steps, block)
+        return _pump_result(model, counts[0], capped[0])
+    counts, capped = zip(*(
+        _chain_sample_block(model, idx, seed, lo, min(block, trials - lo), max_jumps)
+        for lo in range(0, trials, block)
+    ))
+    return _pump_result(model, np.concatenate(counts), np.concatenate(capped))
 
 
 @dataclass(frozen=True)
@@ -762,22 +894,41 @@ def _detection_matrix(
     b_gauss: float,
     rows: Sequence[tuple[str, Sequence[BeamConfig]]],
     states: Sequence[ZeemanState],
-    cell: Callable[[PumpModel, ZeemanState, int], tuple[float, float]],
     trials: int,
     seed: int,
+    method: Optional[str],
 ) -> DetectionMatrix:
     """One cell per (setting row, initial-state column), seeded seed + 1000*row + col.
 
-    ``cell(model, state, cell_seed)`` returns the cell's (mean, sem).  Each
-    row's model is built just before its cells run, so one model's
-    propagator tables are alive at a time.
+    Under ``method="jump"`` one ``_jump_counts`` call samples every cell: the
+    cells' trajectories share blocks that step together on stacked period
+    tables, and a block's tables are alive only while it runs.  Any other
+    method samples each cell with ``simulate_pumping``.  With no method each
+    cell is the classical chain's exact expectation with a zero SEM.
     """
-    means = np.zeros((len(rows), len(states)))
-    sems = np.zeros_like(means)
-    for ri, (_, beams) in enumerate(rows):
-        model = build_model(b_gauss, beams)
-        for ci, state in enumerate(states):
-            means[ri, ci], sems[ri, ci] = cell(model, state, seed + 1000 * ri + ci)
+    models = [build_model(b_gauss, beams) for _, beams in rows]
+    cells = [
+        (model, state, seed + 1000 * ri + ci)
+        for ri, model in enumerate(models)
+        for ci, state in enumerate(states)
+    ]
+    if method is None:
+        stats = [(chain_expected_counts(model, state), 0.0) for model, state, _ in cells]
+    else:
+        if method == "jump":
+            if trials < 1:
+                raise ValueError("trials must be >= 1")
+            counts, capped = _jump_counts(
+                [(model, _GROUND_INDEX[state], s) for model, state, s in cells],
+                trials, _MAX_JUMPS, _MAX_STEPS, _BLOCK,
+            )
+            results = map(_pump_result, [model for model, _, _ in cells], counts, capped)
+        else:
+            results = (
+                simulate_pumping(model, state, trials, s, method=method) for model, state, s in cells
+            )
+        stats = [(res.mean, res.sem) for res in results]
+    means, sems = np.array(stats).T.reshape(2, len(rows), len(states))
     return DetectionMatrix(
         row_labels=tuple(label for label, _ in rows),
         col_labels=tuple(str(s) for s in states),
@@ -786,14 +937,6 @@ def _detection_matrix(
         trials=trials,
         seed=seed,
     )
-
-
-def _sampled_cell(trials: int, method: str):
-    def cell(model: PumpModel, state: ZeemanState, cell_seed: int) -> tuple[float, float]:
-        res = simulate_pumping(model, state, trials, cell_seed, method=method)
-        return res.mean, res.sem
-
-    return cell
 
 
 def detection_matrix_s(
@@ -812,8 +955,7 @@ def detection_matrix_s(
         (label, s_detection_beams(probe, b_gauss, intensity))
         for label, probe in (("sigma+", Polarization.SIGMA_PLUS), ("sigma-", Polarization.SIGMA_MINUS))
     ]
-    cell = _sampled_cell(trials, method)
-    return _detection_matrix(b_gauss, rows, _S_STATES, cell, trials, seed)
+    return _detection_matrix(b_gauss, rows, _S_STATES, trials, seed, method)
 
 
 def detection_matrix_d(
@@ -843,8 +985,7 @@ def detection_matrix_d(
                     stacklevel=2,
                 )
         rows.append((label, (red, blue)))
-    cell = _sampled_cell(trials, method)
-    return _detection_matrix(b_gauss, rows, _D_STATES, cell, trials, seed)
+    return _detection_matrix(b_gauss, rows, _D_STATES, trials, seed, method)
 
 
 def chain_detection_matrix_d(
@@ -856,12 +997,8 @@ def chain_detection_matrix_d(
 
     Nothing is sampled: the SEMs are zero, ``trials`` is 0 and ``seed`` is only recorded.
     """
-
-    def cell(model: PumpModel, state: ZeemanState, _: int) -> tuple[float, float]:
-        return chain_expected_counts(model, state), 0.0
-
     rows = [(label, d_detection_beams(pols, b_gauss, intensity)) for label, pols in D_SETTINGS]
-    return _detection_matrix(b_gauss, rows, _D_STATES, cell, 0, seed)
+    return _detection_matrix(b_gauss, rows, _D_STATES, 0, seed, None)
 
 
 @dataclass(frozen=True)

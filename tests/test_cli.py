@@ -330,6 +330,15 @@ class TestCliProcess:
         assert "b_gauss" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["jump", "chain"])
+    def test_overflowing_zeeman_shifts_name_b_gauss(self, tmp_path, capsys, method):
+        # at 1e305 G the Zeeman shifts in Hz overflow; the model build names the
+        # field before any arithmetic on them (warnings are errors here)
+        assert self.run_with(tmp_path, "detmatrix_d", b_gauss="1e305", method=method, trials=4) == 2
+        err = capsys.readouterr().err
+        assert "b_gauss" in err
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_chain_method_runs_below_the_jump_field_range(self, tmp_path):
         assert self.run_with(tmp_path, "detmatrix_d", b_gauss=0.0005, method="chain", trials=200) == 0
 

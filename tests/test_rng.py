@@ -30,6 +30,24 @@ def test_uniform_table_equals_numpy_philox(seed, first_trial, rows, first, n_dra
         assert np.array_equal(shared[i], philox_draws(seed, first_trial + r, first[0], n_draws))
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=6, max_size=6),
+    first_trial=st.integers(0, 2**64 - 2**20),
+    rows=st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=6),
+    first=st.lists(st.integers(0, 900), min_size=6, max_size=6),
+    n_draws=st.integers(1, 13),
+)
+def test_uniform_table_takes_one_seed_per_row(seeds, first_trial, rows, first, n_draws):
+    # a block of trajectories from several cells fills its windows in one call
+    seeds, first = seeds[: len(rows)], first[: len(rows)]
+    out = uniform_table(
+        np.array(seeds, np.uint64), first_trial, len(rows), n_draws, np.array(first), np.array(rows)
+    )
+    for i, (s, r, f) in enumerate(zip(seeds, rows, first)):
+        assert np.array_equal(out[i], substream(s, first_trial + r).random(f + n_draws)[f:])
+
+
 def test_default_rows_are_consecutive_trials_from_the_start():
     out = uniform_table(7, 40, 3, 9)
     for i in range(3):

@@ -36,13 +36,15 @@ from dqubit.scatter import (
     standard_beam,
 )
 from dqubit.scatter import (
+    _CHANNEL_WEIGHTS,
     _DECAY,
     _DECAY_PROBS,
     _MAX_PERIOD,
     EXCITED_STATES,
     _Trajectories,
+    _blocks,
     _coupling,
-    _jump_sample_block,
+    _jump_counts,
     _norms,
 )
 
@@ -115,6 +117,12 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             build_model(-1.0, [standard_beam(BeamColor.RED_650, (SP,), 1.0)])
 
+    @pytest.mark.parametrize("b_gauss", [1e302, 1e305])
+    def test_overflowing_shifts_name_the_field(self, b_gauss):
+        # the S splitting (2.8 MHz/G) overflows a float above about 6e301 G
+        with pytest.raises(ValueError, match="b_gauss"):
+            build_model(b_gauss, d_detection_beams((SP,), b_gauss))
+
 
 class TestIonTables:
     def test_decay_channels_resolve_the_p_identity(self):
@@ -125,6 +133,16 @@ class TestIonTables:
         assert _DECAY_PROBS.shape == (2, 6)
         assert np.abs(_DECAY_PROBS.sum(axis=1) - 1.0).max() < 1e-15
         assert np.abs(_DECAY_PROBS[:, :2].sum(axis=1) - 0.75).max() < 1e-15
+
+    def test_channel_rates_need_no_interference_terms(self):
+        # each (channel, ground) pair is reached from one excited level, so a
+        # channel's rate is sum_e |amplitude_e|^2 times a fixed weight
+        assert np.count_nonzero(_DECAY, axis=2).max() == 1
+        rng = np.random.default_rng(3)
+        amp = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        posts = np.einsum("ne,cge->ncg", amp, _DECAY)
+        rates = (np.abs(posts) ** 2).sum(axis=2)
+        assert np.allclose((np.abs(amp) ** 2) @ _CHANNEL_WEIGHTS, rates, rtol=1e-13)
 
     def test_every_model_shares_the_decay_branching(self):
         assert d_model((SP,))._decay_probs is _DECAY_PROBS
@@ -265,15 +283,16 @@ STANDARD_ROWS = [(b, *row) for b in (2.2, 0.1) for row in standard_rows(b)]
 
 
 def lockstep(eng, initial_idx, seed, first_trial, n, max_jumps, max_steps):
-    """Reference sampler: every row takes one ``eng.lift[0]`` step at a time.
+    """Reference sampler: every row takes one step propagator at a time.
 
     Jumps and dark checks use the engine's ``_Trajectories`` bookkeeping; the
     dark check runs every 16 steps and at the step cap.
     """
-    run = _Trajectories(eng, initial_idx, seed, first_trial, n, max_jumps)
-    rows, psi, step = run.active, run.psi, 0
+    run = _Trajectories([(eng, initial_idx, seed, first_trial, n)], max_jumps)
+    props = eng.propagators()
+    rows, psi, step = np.arange(n), run.psi, 0
     while rows.size and step < max_steps:
-        psi = psi @ eng.lift[0][step % eng.period].T
+        psi = psi @ props[step % eng.period].T
         step += 1
         hit = np.nonzero(_norms(psi) <= run.thresh[rows])[0]
         if hit.size:
@@ -304,23 +323,38 @@ def assert_chain_sampling_is_exact(model, state):
     assert res.mean == pytest.approx(exact, abs=4 * res.sem)
 
 
+# each case steps its rows' cells in shared blocks; the last case mixes rows of
+# periods 56 and 280
+BLOCK_CASES = [(b, label, [(beams, states)]) for b, label, beams, states in STANDARD_ROWS] + [
+    (2.2, "sigma+|sigma+pi", [(d_detection_beams(pols, 2.2), D) for pols in ((SP,), (SP, PI))])
+]
+
+
 class TestJumpEngine:
     @pytest.mark.parametrize(
-        "b,label,beams,states", STANDARD_ROWS, ids=[f"{r[0]}G-{r[1]}" for r in STANDARD_ROWS]
+        "b,label,rows", BLOCK_CASES, ids=[f"{c[0]}G-{c[1]}" for c in BLOCK_CASES]
     )
-    def test_strided_steps_match_lockstep_reference(self, b, label, beams, states):
-        # every state up to a step cap that ends mid-stride, then the first
-        # bright state until every trajectory is dark
-        model = build_model(b, beams)
-        eng = model._jump_engine
-        bright = next(s for s in states if chain_expected_counts(model, s) > 0)
-        cells = [(s, 24, 1000) for s in states] + [(bright, 8, 400_000)]
-        for ci, (state, n, max_steps) in enumerate(cells):
-            args = (GROUND_STATES.index(state), 40 + ci, 0, n, 400, max_steps)
-            counts, capped = _jump_sample_block(eng, *args)
-            ref_counts, ref_capped = lockstep(eng, *args)
-            assert np.array_equal(counts, ref_counts)
-            assert np.array_equal(capped, ref_capped)
+    def test_strided_steps_match_lockstep_reference(self, b, label, rows):
+        # every state up to a step cap that ends mid-stride, then each row's
+        # first bright state until every trajectory is dark
+        models = [build_model(b, beams) for beams, _ in rows]
+        bright = [
+            next(s for s in states if chain_expected_counts(m, s) > 0)
+            for m, (_, states) in zip(models, rows)
+        ]
+        groups = [
+            ([(m, s) for m, (_, states) in zip(models, rows) for s in states], 24, 1000),
+            (list(zip(models, bright)), 8, 400_000),
+        ]
+        seed = 40
+        for group, n, max_steps in groups:
+            cells = [(m, GROUND_STATES.index(s), seed + i) for i, (m, s) in enumerate(group)]
+            seed += len(cells)
+            counts, capped = _jump_counts(cells, n, 400, max_steps, 8192)
+            for (m, idx, cell_seed), got, got_capped in zip(cells, counts, capped):
+                ref_counts, ref_capped = lockstep(m._jump_engine, idx, cell_seed, 0, n, 400, max_steps)
+                assert np.array_equal(got, ref_counts)
+                assert np.array_equal(got_capped, ref_capped)
 
     def test_incommensurate_detuning_raises_under_jump(self):
         model = incommensurate_model()
@@ -354,21 +388,39 @@ class TestJumpEngine:
     def test_engine_size_is_fixed_by_the_model(self):
         for model in (d_model((SP, PI)), s_model()):
             eng = model._jump_engine
-            stride = 2 ** (eng.lift.shape[0] - 1)
-            assert eng.lift.shape[1:] == (eng.period, 6, 6)
+            props = eng.propagators()
+            assert props.shape == (eng.period, 6, 6)
+            # no beam couples S and D: the tables keep the two blocks apart
+            assert not props[:, :2, 2:].any() and not props[:, 2:, :2].any()
+            stride = 2**eng.levels
             assert stride // 2 < max(eng.period, 32) <= stride
+            run = _Trajectories([(eng, 2, 3, 0, 16)], 400)
+            assert [t.shape for t in run.lift] == [
+                (eng.levels + 1, eng.period, 2, 2),
+                (eng.levels + 1, eng.period, 4, 4),
+            ]
         for model in (d_model((SP, PI)), d_model((SP, PI), b=0.1)):
             eng = model._jump_engine
             size = engine_nbytes(eng)
             for max_steps in (50, 5000, 400_000, 4_000_000):
-                _jump_sample_block(eng, 2, 3, 0, 16, 400, max_steps)
+                _jump_counts([(model, 2, 3)], 16, 400, max_steps, 8192)
                 assert engine_nbytes(eng) == size
 
     def test_lowest_admitted_field_stays_within_the_table_budget(self):
-        # the combination rows have the longest period: 8117 steps at 0.0044 G
-        eng = d_model((SP, PI), b=0.0044)._jump_engine
-        assert eng.period <= _MAX_PERIOD
-        assert eng.lift.nbytes <= (_MAX_PERIOD.bit_length()) * _MAX_PERIOD * 36 * 16  # 66 MB
+        # a matrix's rows share a block while the stacked tables fit one
+        # model's budget: at 0.0044 G the combination rows (8117 steps per
+        # period) take a block each, at 2.2 G the whole matrix is one block
+        budget = (_MAX_PERIOD.bit_length()) * _MAX_PERIOD * 36 * 16  # 66 MB
+        for b, groups in ((0.0044, [[0, 1, 2], [3], [4]]), (2.2, [[0, 1, 2, 3, 4]])):
+            engines = [d_model(pols, b=b)._jump_engine for _, pols in D_SETTINGS]
+            assert max(eng.period for eng in engines) <= _MAX_PERIOD
+            cells = [(4 * ri + ci, eng) for ri, eng in enumerate(engines) for ci in range(4)]
+            blocks = list(_blocks(cells, 1, 8192))
+            assert [sorted({c // 4 for c, _, _ in pieces}) for pieces in blocks] == groups
+            for pieces in blocks:
+                run = _Trajectories([(engines[c // 4], 2 + c % 4, 1, lo, n) for c, lo, n in pieces], 400)
+                assert sum(t.nbytes for t in run.lift) <= budget
+                del run
 
     @pytest.mark.parametrize("b_gauss", [0.0005, 0.0043, 1e300])
     def test_field_out_of_range_raises_before_allocating(self, b_gauss):
@@ -397,6 +449,38 @@ def test_low_field_single_polarization_rows_match_the_chain(b_gauss):
             assert res.mean == pytest.approx(ref[2 + ci], abs=4 * res.sem)
 
 
+@pytest.mark.parametrize("b_gauss", [2.2, 0.1])
+def test_detection_matrix_blocks_match_per_cell_runs(b_gauss):
+    # a matrix steps all its cells in shared blocks; each cell must equal its
+    # own one-cell run, also when blocks of 13 trajectories cut cells mid-trial
+    trials, seed = 8, 7
+    for fn, rows, states in (
+        (detection_matrix_d, [d_detection_beams(pols, b_gauss) for _, pols in D_SETTINGS], D),
+        (detection_matrix_s, [s_detection_beams(q, b_gauss) for q in (SP, SM)], (S_DOWN, S_UP)),
+    ):
+        matrix = fn(b_gauss, trials=trials, seed=seed)
+        models = [build_model(b_gauss, beams) for beams in rows]
+        cells = [
+            (model, GROUND_STATES.index(state), seed + 1000 * ri + ci)
+            for ri, model in enumerate(models)
+            for ci, state in enumerate(states)
+        ]
+        per_cell = [simulate_pumping(m, GROUND_STATES[idx], trials, s) for m, idx, s in cells]
+        assert matrix.means.ravel().tolist() == [res.mean for res in per_cell]
+        assert matrix.sems.ravel().tolist() == [res.sem for res in per_cell]
+        counts, capped = _jump_counts(cells, trials, 400, 400_000, 13)
+        for res, got, got_capped in zip(per_cell, counts, capped):
+            assert np.array_equal(got, res.counts)
+            assert got_capped.mean() == res.capped_fraction == 0.0
+        # a step cap that caps some trajectories, which simulate_pumping rejects
+        counts, capped = _jump_counts(cells, trials, 400, 60, 13)
+        assert capped.any()
+        for cell, got, got_capped in zip(cells, counts, capped):
+            ref_counts, ref_capped = _jump_counts([cell], trials, 400, 60, 8192)
+            assert np.array_equal(got, ref_counts[0])
+            assert np.array_equal(got_capped, ref_capped[0])
+
+
 _BLOCK_MODEL = d_model((SP, PI))
 
 
@@ -420,6 +504,11 @@ class TestDetectionMatrixS:
         assert m.means[1, 0] == 0.0
         for ri in range(2):
             assert m.means[ri, ri] == pytest.approx(2.82, abs=max(3 * m.sems[ri, ri], 0.2))
+
+    @pytest.mark.parametrize("method", ["jump", "chain"])
+    def test_zero_trials_rejected(self, method):
+        with pytest.raises(ValueError, match="trials"):
+            detection_matrix_s(trials=0, seed=1, method=method)
 
     def test_repump_intensity_does_not_move_the_budget(self):
         # photon number to darkness is set by branching, not repump speed
