@@ -24,7 +24,10 @@ quantum jumps on the ground+metastable manifold.  Two simulation methods:
   about 0.0044 G with the standard beams), raise ValueError.
 * ``chain`` - the classical embedded Markov chain over basis states
   (excitation branching by line strength, decay branching by the 3:1 rule).
-  Exact for single-polarization settings, where no coherences form.
+  Exact for single-polarization settings, where no coherences form.  A
+  detection matrix passes all its bright cells' trajectories through one
+  pool of live rows that step together on stacked branching tables and
+  refills as rows go dark; ``simulate_pumping`` is a pool of one cell.
 
 The observable is the number of blue photons (P -> S decays) emitted until
 the ion is pumped dark.  Each trajectory keeps an integer photon count; a
@@ -56,7 +59,7 @@ from .atom import (
     zeeman_splitting,
 )
 from .linalg import expm
-from .rng import uniform_table
+from .rng import _CHUNK_BLOCKS, uniform_table
 
 __all__ = [
     "BeamColor",
@@ -117,6 +120,22 @@ _DECAY = np.array([
 # products round differently on a transposed view
 _DECAY_PROBS = np.ascontiguousarray((_DECAY**2).sum(axis=0).T)
 _GAMMA = 1.0 / (BA138.p_lifetime_s * 1e6)  # P linewidth, 1/us
+
+
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sums of branching probabilities, 1.0 from each row's last positive entry on.
+
+    The sums may miss 1 by an ulp (``_DECAY_PROBS``' end at 1 - 2**-52); so
+    pinned, the largest uniform, 1 - 2**-53, picks the last branch that can
+    happen rather than one past it.
+    """
+    cum = np.cumsum(p, axis=1)
+    last = p.shape[1] - 1 - np.argmax(p[:, ::-1] > 0, axis=1)
+    cum[np.arange(p.shape[1]) >= last[:, None]] = 1.0
+    return cum
+
+
+_DECAY_CUM = _cumulative(_DECAY_PROBS)  # the chain's decay branching
 
 
 class NonTerminatingError(RuntimeError):
@@ -343,45 +362,6 @@ def chain_expected_counts(model: PumpModel, initial: ZeemanState) -> float:
         A[gi] -= pe @ pdec
     n = np.linalg.solve(A, b)
     return float(n[_GROUND_INDEX[initial]])
-
-
-_CHAIN_WINDOW = 16  # chain steps of draws fetched per live trajectory at a time
-
-
-def _chain_sample_block(
-    model: PumpModel, initial_idx: int, seed: int, first_trial: int, n: int, max_jumps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical-chain sampling of n trajectories; returns (counts, capped).
-
-    Step k of a trajectory uses draws 2k and 2k+1 of its stream; they are
-    fetched ``_CHAIN_WINDOW`` steps at a time for the trajectories still alive.
-    """
-    lam = model._chain_rates
-    tot = lam.sum(axis=1)
-    exc_cum = np.cumsum(np.where(tot[:, None] > 0, lam / np.maximum(tot, 1e-300)[:, None], 0.5), axis=1)
-    dec_cum = np.cumsum(model._decay_probs, axis=1)
-    state = np.full(n, initial_idx, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    capped = np.zeros(n, dtype=bool)
-    live = np.nonzero(tot[state] > 0)[0]
-    step = 0
-    while live.size:
-        if step >= max_jumps:
-            capped[live] = True
-            break
-        width = min(_CHAIN_WINDOW, max_jumps - step)
-        u = uniform_table(seed, first_trial, live.size, 2 * width, 2 * step, live)
-        pos = np.arange(live.size)  # rows of u still alive
-        for k in range(width):
-            idx = live[pos]
-            e = (u[pos, 2 * k, None] > exc_cum[state[idx]]).sum(axis=1)
-            g = (u[pos, 2 * k + 1, None] > dec_cum[e]).sum(axis=1)
-            counts[idx] += (g < 2).astype(np.int64)
-            state[idx] = g
-            pos = pos[tot[g] > 0]
-        live = live[pos]
-        step += width
-    return counts, capped
 
 
 _JUMP_WINDOW = 64  # jumps of threshold and channel draws fetched per trajectory at a time
@@ -794,6 +774,119 @@ def _jump_counts(
     return counts, capped
 
 
+def _branch(u: np.ndarray, cum: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Branch that each uniform ``u[i]`` picks from the cumulative probabilities ``cum[rows[i]]``.
+
+    The pick is the number of entries below ``u[i]``.  The last column of
+    ``cum`` is 1.0 (``_cumulative``), which no uniform exceeds, so it is
+    never compared.
+    """
+    pick = np.zeros(u.size, np.intp)
+    for col in cum.T[:-1]:
+        pick += u > col[rows]
+    return pick
+
+
+def _excitation_tables(models: Sequence[PumpModel]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (6 * models, 2) cumulative excitation branching of the models' levels, and which levels are bright."""
+    lam = np.concatenate([m._chain_rates for m in models])
+    tot = lam.sum(axis=1)
+    bright = tot > 0
+    return _cumulative(np.where(bright[:, None], lam / np.maximum(tot, 1e-300)[:, None], 0.5)), bright
+
+
+# a chain fetch reads two steps (one Philox block) per row at most this many
+# times over, so that a fetch fills about one uniform_table chunk
+_CHAIN_PAIRS = 8
+
+
+def _chain_counts(
+    cells: Sequence[tuple[PumpModel, int, int]],
+    trials: int,
+    max_jumps: int,
+    block: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classical-chain counts and caps (cells, trials) of every cell ``(model, initial_idx, seed)``.
+
+    Live trajectories sit in a pool of at most ``block`` rows; as rows go
+    dark, the pool refills from the pending trajectories, cell after cell.
+    The cells' models share one stacked ``(6 * models, 2)`` table of
+    cumulative excitation branching, and a row's state is its model's offset
+    into it plus its level.  Each row keeps its own trajectory and step, and
+    one fetch reads ``2 * clip(_CHUNK_BLOCKS // rows, 1, _CHAIN_PAIRS)``
+    steps of draws for every row: 2 for a full pool, up to 16 as it drains.
+    The width is even, so every row's first draw starts a Philox block.  Rows
+    step while alive and stop at ``max_jumps`` steps, where a row still
+    bright is capped.  Trajectories from a dark initial state end at once
+    with no photon and join no pool.
+    """
+    models = list({id(c[0]): c[0] for c in cells}.values())
+    which = {id(m): i for i, m in enumerate(models)}
+    exc_cum, bright = _excitation_tables(models)
+    counts = np.zeros((len(cells), trials), np.int64)
+    capped = np.zeros((len(cells), trials), bool)
+    offset = np.array([6 * which[id(model)] for model, _, _ in cells], np.int64)
+    start = offset + [idx for _, idx, _ in cells]
+    seeds = np.array([seed % 2**64 for _, _, seed in cells], np.uint64)
+    todo = np.nonzero(bright[start])[0]  # the bright cells, whose trajectories are pending
+    pending, filled = todo.size * trials, 0
+    # pool rows: trajectory (cell * trials + trial), model offset, state, step, count
+    pool = np.zeros((5, min(block, pending)), np.int64)
+    n = 0
+    while True:
+        traj, base, state, step, count = pool[:, :n]
+        done = ~bright[state] | (step >= max_jumps)
+        np.put(counts, traj[done], count[done])
+        np.put(capped, traj[done], bright[state[done]])
+        n = int(n - done.sum())
+        pool[:, :n] = pool[:, : done.size][:, ~done]
+        take = min(pool.shape[1] - n, pending - filled)
+        p = np.arange(filled, filled + take)
+        cell = todo[p // trials]
+        pool[0, n : n + take] = cell * trials + p % trials
+        pool[1, n : n + take] = offset[cell]
+        pool[2, n : n + take] = start[cell]
+        pool[3:, n : n + take] = 0
+        n += take
+        filled += take
+        if not n:
+            return counts, capped
+
+        traj, base, state, step, count = pool[:, :n]
+        width = 2 * min(max(_CHUNK_BLOCKS // n, 1), _CHAIN_PAIRS)
+        cell = traj // trials
+        u = uniform_table(seeds[cell], 0, n, 2 * width, 2 * step, traj - cell * trials)
+        alive = np.ones(n, bool)
+        for k in range(width):
+            alive &= step < max_jumps
+            e = _branch(u[:, 2 * k], exc_cum, state)
+            g = _branch(u[:, 2 * k + 1], _DECAY_CUM, e)
+            count += alive & (g < 2)
+            step += alive
+            np.copyto(state, base + g, where=alive)
+            alive &= bright[state]
+            if not alive.any():
+                break
+
+
+def _sample_counts(
+    cells: Sequence[tuple[PumpModel, int, int]],
+    trials: int,
+    method: str,
+    max_jumps: int = _MAX_JUMPS,
+    max_steps: int = _MAX_STEPS,
+    block: int = _BLOCK,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and caps (cells, trials) of every cell ``(model, initial_idx, seed)`` under ``method``."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if method == "jump":
+        return _jump_counts(cells, trials, max_jumps, max_steps, block)
+    if method == "chain":
+        return _chain_counts(cells, trials, max_jumps, block)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def _pump_result(model: PumpModel, counts: np.ndarray, capped: np.ndarray) -> PumpResult:
     """Mean and standard error of one cell's counts; raises NonTerminatingError past 1% capped."""
     trials = counts.size
@@ -830,9 +923,13 @@ def simulate_pumping(
     always draws from the substream keyed (seed, t).  A trajectory ends when
     its time-averaged excitation rate falls below ``DARK_RATE_FRACTION`` times
     the largest basis-state rate (a state with zero time-averaged rate can
-    never brighten), or when it exceeds the jump/step caps.  Under ``jump``
-    the cell is a one-cell run of the engine that detection matrices run on
-    all their cells at once.
+    never brighten; under ``chain``, when its basis state has no excitation
+    rate), or when it exceeds the jump/step caps.  The cell is a one-cell run
+    of the sampler that detection matrices run on all their cells at once.
+    Under ``chain`` that is a pool of at most ``block`` live trajectories,
+    refilled in trial order as rows go dark; each fetch reads
+    ``2 * clip(_CHUNK_BLOCKS // rows, 1, 8)`` chain steps of draws for every
+    row, and each row reads its own stream from its own step on.
 
     Raises NonTerminatingError if more than 1% of trajectories hit a cap.
     Under ``method="jump"`` raises ValueError, before any propagator table is
@@ -841,21 +938,12 @@ def simulate_pumping(
     when its frequencies overflow (fields above about 5e294 G).  The ``chain``
     method needs no period.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if initial not in _GROUND_INDEX:
         raise ValueError(f"initial state {initial} is not a ground/metastable level")
-    if method not in ("jump", "chain"):
-        raise ValueError(f"unknown method {method!r}")
-    idx = _GROUND_INDEX[initial]
-    if method == "jump":
-        counts, capped = _jump_counts([(model, idx, seed)], trials, max_jumps, max_steps, block)
-        return _pump_result(model, counts[0], capped[0])
-    counts, capped = zip(*(
-        _chain_sample_block(model, idx, seed, lo, min(block, trials - lo), max_jumps)
-        for lo in range(0, trials, block)
-    ))
-    return _pump_result(model, np.concatenate(counts), np.concatenate(capped))
+    counts, capped = _sample_counts(
+        [(model, _GROUND_INDEX[initial], seed)], trials, method, max_jumps, max_steps, block
+    )
+    return _pump_result(model, counts[0], capped[0])
 
 
 @dataclass(frozen=True)
@@ -900,11 +988,14 @@ def _detection_matrix(
 ) -> DetectionMatrix:
     """One cell per (setting row, initial-state column), seeded seed + 1000*row + col.
 
-    Under ``method="jump"`` one ``_jump_counts`` call samples every cell: the
-    cells' trajectories share blocks that step together on stacked period
-    tables, and a block's tables are alive only while it runs.  Any other
-    method samples each cell with ``simulate_pumping``.  With no method each
-    cell is the classical chain's exact expectation with a zero SEM.
+    One call samples every cell.  Under ``method="jump"`` (``_jump_counts``)
+    the cells' trajectories share blocks that step together on stacked period
+    tables, and a block's tables are alive only while it runs.  Under
+    ``method="chain"`` (``_chain_counts``) they pass through one pool of at
+    most ``_BLOCK`` live rows, which refills cell after cell as rows go dark;
+    each fetch reads ``2 * clip(_CHUNK_BLOCKS // rows, 1, 8)`` chain steps of
+    draws for all rows.  With no method each cell is the classical chain's
+    exact expectation with a zero SEM.
     """
     models = [build_model(b_gauss, beams) for _, beams in rows]
     cells = [
@@ -915,18 +1006,10 @@ def _detection_matrix(
     if method is None:
         stats = [(chain_expected_counts(model, state), 0.0) for model, state, _ in cells]
     else:
-        if method == "jump":
-            if trials < 1:
-                raise ValueError("trials must be >= 1")
-            counts, capped = _jump_counts(
-                [(model, _GROUND_INDEX[state], s) for model, state, s in cells],
-                trials, _MAX_JUMPS, _MAX_STEPS, _BLOCK,
-            )
-            results = map(_pump_result, [model for model, _, _ in cells], counts, capped)
-        else:
-            results = (
-                simulate_pumping(model, state, trials, s, method=method) for model, state, s in cells
-            )
+        counts, capped = _sample_counts(
+            [(model, _GROUND_INDEX[state], s) for model, state, s in cells], trials, method
+        )
+        results = map(_pump_result, [model for model, _, _ in cells], counts, capped)
         stats = [(res.mean, res.sem) for res in results]
     means, sems = np.array(stats).T.reshape(2, len(rows), len(states))
     return DetectionMatrix(

@@ -36,17 +36,25 @@ from dqubit.scatter import (
     standard_beam,
 )
 from dqubit.scatter import (
+    _BLOCK,
     _CHANNEL_WEIGHTS,
     _DECAY,
+    _DECAY_CUM,
     _DECAY_PROBS,
+    _MAX_JUMPS,
     _MAX_PERIOD,
     EXCITED_STATES,
     _Trajectories,
     _blocks,
+    _branch,
+    _chain_counts,
     _coupling,
+    _excitation_tables,
     _jump_counts,
     _norms,
 )
+from dqubit import scatter
+from dqubit.rng import substream
 
 from oracles import chain_counts_by_value_iteration, sympy_cg
 
@@ -492,9 +500,108 @@ _BLOCK_MODEL = d_model((SP, PI))
     block=st.integers(1, 24),
 )
 def test_counts_depend_only_on_seed_and_trial_index(seed, trials, extra, block):
-    ref = simulate_pumping(_BLOCK_MODEL, D[1], trials + extra, seed)
-    res = simulate_pumping(_BLOCK_MODEL, D[1], trials, seed, block=block)
-    assert np.array_equal(res.counts, ref.counts[:trials])
+    for method in ("jump", "chain"):
+        ref = simulate_pumping(_BLOCK_MODEL, D[1], trials + extra, seed, method=method)
+        res = simulate_pumping(_BLOCK_MODEL, D[1], trials, seed, method=method, block=block)
+        assert np.array_equal(res.counts, ref.counts[:trials])
+
+
+def walk_branch(u, p):
+    """Inverse-CDF pick from probabilities p: the first branch whose running sum reaches u.
+
+    A uniform past every running sum, which an ulp short of 1 can leave,
+    takes the last branch of positive probability.
+    """
+    last = max(j for j, pj in enumerate(p) if pj > 0)
+    total = 0.0
+    for j in range(last):
+        total += p[j]
+        if u <= total:
+            return j
+    return last
+
+
+def chain_walk(model, initial_idx, draw, max_jumps):
+    """Scalar reference for one chain trajectory on the uniforms ``draw()`` yields; (count, capped)."""
+    state, count = initial_idx, 0
+    for _ in range(max_jumps):
+        lam = model._chain_rates[state]
+        tot = lam[0] + lam[1]
+        if tot <= 0:
+            return count, False
+        e = walk_branch(draw(), lam / tot)
+        state = walk_branch(draw(), _DECAY_PROBS[e])
+        count += state < 2
+    return count, model._chain_rates[state].sum() > 0
+
+
+# two models, bright and dark initial states of each, in an order that mixes them
+CHAIN_CELLS = [
+    (d_model((SP,)), 2, 71),
+    (s_model(), 1, 72),
+    (d_model((SP,)), 5, 73),
+    (s_model(), 0, 74),
+    (d_model((SP,)), 3, 75),
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, _BLOCK])
+@pytest.mark.parametrize("max_jumps", [3, _MAX_JUMPS])
+def test_chain_pool_matches_scalar_walker(block, max_jumps):
+    trials = 12
+    counts, capped = _chain_counts(CHAIN_CELLS, trials, max_jumps, block)
+    for (model, idx, seed), got, got_capped in zip(CHAIN_CELLS, counts, capped):
+        ref = [chain_walk(model, idx, substream(seed, t).random, max_jumps) for t in range(trials)]
+        assert got.tolist() == [c for c, _ in ref]
+        assert got_capped.tolist() == [cap for _, cap in ref]
+    assert capped.any() == (max_jumps == 3)
+    assert (counts[[1, 2]] == 0).all() and not capped[[1, 2]].any()  # the dark initial states
+
+
+def test_chain_matrix_memory_is_bounded_by_its_outputs():
+    # the pool holds at most _BLOCK live rows, whatever the trial count
+    def peak_bytes(trials):
+        tracemalloc.start()
+        try:
+            detection_matrix_d(trials=trials, seed=3, method="chain")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(100)  # first call warms numpy's caches
+    outputs = 20 * 8000 * (8 + 1)  # int64 counts and capped flags of the larger matrix
+    assert peak_bytes(8000) - peak_bytes(1000) <= outputs + 2**20
+
+
+class TestChainTables:
+    # 1.31 G at intensity 0.3: the S rows' excitation sums from d-1/2 and d+1/2 end at 1 - 2**-52
+    HIGH_ULP = s_model(1.31, SP, 0.3)
+
+    def test_cumulative_tables_end_at_exactly_one(self):
+        raw = np.cumsum(_DECAY_PROBS, axis=1)
+        assert (raw[:, -1] == 1 - 2**-52).all()
+        assert (_DECAY_CUM[:, -1] == 1.0).all()
+        # from each excited level's last reachable level on
+        assert _DECAY_CUM[0, 4] == 1.0 and _DECAY_PROBS[0, 5] == 0.0
+        lam = self.HIGH_ULP._chain_rates[3:5]
+        assert (np.cumsum(lam / lam.sum(axis=1)[:, None], axis=1)[:, -1] == 1 - 2**-52).all()
+        exc_cum, bright = _excitation_tables([self.HIGH_ULP])
+        assert (exc_cum[:, -1] == 1.0).all() and bright[3:5].all()
+
+    def test_largest_uniform_picks_the_last_possible_branch(self, monkeypatch):
+        top = 1 - 2**-53
+        exc_cum, bright = _excitation_tables([self.HIGH_ULP])
+        picks = _branch(np.full(6, top), exc_cum, np.arange(6))
+        last = [max(np.nonzero(r)[0]) for r in self.HIGH_ULP._chain_rates[bright]]
+        assert picks[bright].tolist() == last
+        assert _branch(np.full(2, top), _DECAY_CUM, np.arange(2)).tolist() == [4, 5]
+        # a stream of nothing but the largest uniform walks the chain without leaving its tables
+        monkeypatch.setattr(scatter, "uniform_table", lambda seed, first, n, d, *a: np.full((n, d), top))
+        cells = [(self.HIGH_ULP, 3, 1), (self.HIGH_ULP, 4, 2), (d_model((SM,)), 5, 3)]
+        counts, capped = _chain_counts(cells, 3, 6, _BLOCK)
+        for (model, idx, _), got, got_capped in zip(cells, counts, capped):
+            ref = chain_walk(model, idx, lambda: top, 6)
+            assert got.tolist() == [ref[0]] * 3 and got_capped.tolist() == [ref[1]] * 3
 
 
 class TestDetectionMatrixS:
