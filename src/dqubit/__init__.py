@@ -4,7 +4,7 @@ detection, population tomography, coherent quartet rotations, synthetic
 field-insensitive qubit construction, and Ramsey coherence analysis under
 magnetic noise.
 """
-__version__ = "0.3.0"  # part of every config hash: outputs may change between versions
+__version__ = "0.4.0"  # part of every config hash: outputs may change between versions
 
 from .atom import (
     BA138,

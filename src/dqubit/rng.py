@@ -14,21 +14,16 @@ followed by ``random()`` yields.
 
 Stream layout of one pumping trajectory (trial ``t`` of a cell seeded ``s``):
 
-* ``chain``: step ``k`` of the classical chain draws its excitation from
-  column ``2k`` and its decay from column ``2k + 1``.
+* ``chain``: one uniform, column 0, inverted through the count law's CDF.
 * ``jump``: the norm threshold of jump ``j`` (``j = 0 .. max_jumps``) is
   column ``j``; the decay channel of jump ``j`` is column ``max_jumps + 1 + j``.
 
-Samplers fetch these columns in windows, for live trajectories only, so a
-trajectory costs the draws it uses rather than the whole stream.  A block of
-jump trajectories, or a pool of chain trajectories, may hold several cells:
-``uniform_table`` then takes one seed, trial and first draw per row, so one
-call refills every row, and each row still reads its own cell's stream.  The
-chain pool's rows sit at different steps; each fetch reads
-``2 * clip(_CHUNK_BLOCKS // rows, 1, 8)`` steps per row, so a full pool
-fetches two steps (one Philox block) per row and a draining one up to 16,
-and one fetch fills about one ``_CHUNK_BLOCKS`` chunk.  The width is even,
-so every row's first draw starts a Philox block.
+Jump trajectories fetch their columns in windows, for live trajectories
+only, so a trajectory costs the draws it uses rather than the whole stream.
+A block of jump trajectories, or a slice of chain trajectories, may hold
+several cells: ``uniform_table`` then takes one seed, trial and first draw
+per row, so one call fills every row, and each row still reads its own
+cell's stream.
 """
 from __future__ import annotations
 

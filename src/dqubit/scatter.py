@@ -24,10 +24,12 @@ quantum jumps on the ground+metastable manifold.  Two simulation methods:
   about 0.0044 G with the standard beams), raise ValueError.
 * ``chain`` - the classical embedded Markov chain over basis states
   (excitation branching by line strength, decay branching by the 3:1 rule).
-  Exact for single-polarization settings, where no coherences form.  A
-  detection matrix passes all its bright cells' trajectories through one
-  pool of live rows that step together on stacked branching tables and
-  refills as rows go dark; ``simulate_pumping`` is a pool of one cell.
+  Exact for single-polarization settings, where no coherences form.  The
+  chain's photon count from each level has an exact law (``_count_law``),
+  so each trajectory is one uniform draw inverted through that law's CDF;
+  nothing is walked step by step.  A detection matrix draws all its bright
+  cells' trajectories in slices that may span cells; ``simulate_pumping``
+  draws one cell.
 
 The observable is the number of blue photons (P -> S decays) emitted until
 the ion is pumped dark.  Each trajectory keeps an integer photon count; a
@@ -123,23 +125,20 @@ _GAMMA = 1.0 / (BA138.p_lifetime_s * 1e6)  # P linewidth, 1/us
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative sums of branching probabilities, 1.0 from each row's last positive entry on.
+    """Row-wise cumulative sums of probabilities, at most 1.0, and 1.0 from each row's last positive entry on.
 
-    The sums may miss 1 by an ulp (``_DECAY_PROBS``' end at 1 - 2**-52); so
-    pinned, the largest uniform, 1 - 2**-53, picks the last branch that can
-    happen rather than one past it.
+    Rounded sums may miss 1 by a few ulps either way; so pinned, every row is
+    nondecreasing and ends at exactly 1.0, and the largest uniform,
+    1 - 2**-53, picks an outcome that can happen rather than one past it.
     """
-    cum = np.cumsum(p, axis=1)
+    cum = np.minimum(np.cumsum(p, axis=1), 1.0)
     last = p.shape[1] - 1 - np.argmax(p[:, ::-1] > 0, axis=1)
     cum[np.arange(p.shape[1]) >= last[:, None]] = 1.0
     return cum
 
 
-_DECAY_CUM = _cumulative(_DECAY_PROBS)  # the chain's decay branching
-
-
 class NonTerminatingError(RuntimeError):
-    """Raised when too many trajectories fail to pump dark within the caps."""
+    """Raised when trajectories fail to pump dark: too many hit a cap, or the chain's count law leaks."""
 
 
 class BeamColor(enum.Enum):
@@ -774,99 +773,105 @@ def _jump_counts(
     return counts, capped
 
 
-def _branch(u: np.ndarray, cum: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Branch that each uniform ``u[i]`` picks from the cumulative probabilities ``cum[rows[i]]``.
+_LAW_TAIL = 2.0**-60  # a count law ends at its first term below this on every bright level
+_MAX_COUNT = 10_000  # photon counts a law may run to before its tail counts as not decaying
+_LAW_LEAK = 1e-9  # a bright level's law may sum short of 1 by this much
 
-    The pick is the number of entries below ``u[i]``.  The last column of
-    ``cum`` is 1.0 (``_cumulative``), which no uniform exceeds, so it is
-    never compared.
+
+def _count_law(model: PumpModel) -> np.ndarray:
+    """(6, n) photon-count law of the classical chain: entry (g, k) is P(k blue photons | start at g).
+
+    One excite-and-decay step from a bright level splits into a photon-free
+    part ``T0``, which lands in D, and a photon part ``T1``, which lands in S.
+    On the bright levels ``f_0 = (I - T0)^-1 T0->dark``, ``f_1 = (I - T0)^-1
+    (T1 f_0 + T1->dark)`` and ``f_k = M f_{k-1}`` with ``M = (I - T0)^-1 T1``,
+    whose rows sum to at most 1: past ``f_1`` no term exceeds the one
+    before.  The terms are built in doubling blocks, ``M^(2^j)`` times the
+    block so far, and end at the first term below ``_LAW_TAIL`` on every
+    bright level.  A dark level ends with no photon.
+
+    Raises NonTerminatingError naming the configuration when ``I - T0`` is
+    singular on the bright levels (walks that cycle without a photon and
+    never pump dark) or when the terms are still above ``_LAW_TAIL`` after
+    ``_MAX_COUNT`` photons.  A bright closed class that emits photons gives
+    its levels a law that sums to 0; ``_chain_counts`` rejects those.
     """
-    pick = np.zeros(u.size, np.intp)
-    for col in cum.T[:-1]:
-        pick += u > col[rows]
-    return pick
-
-
-def _excitation_tables(models: Sequence[PumpModel]) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (6 * models, 2) cumulative excitation branching of the models' levels, and which levels are bright."""
-    lam = np.concatenate([m._chain_rates for m in models])
+    lam = model._chain_rates
     tot = lam.sum(axis=1)
     bright = tot > 0
-    return _cumulative(np.where(bright[:, None], lam / np.maximum(tot, 1e-300)[:, None], 0.5)), bright
+    step = (lam[bright] / tot[bright, None]) @ model._decay_probs  # (bright, 6)
+    t0, t1 = step.copy(), step.copy()
+    t0[:, :2] = 0.0
+    t1[:, 2:] = 0.0
+    rhs = np.column_stack([t1[:, bright], t0[:, ~bright].sum(axis=1), t1[:, ~bright].sum(axis=1)])
+    try:
+        x = np.linalg.solve(np.eye(len(rhs)) - t0[:, bright], rhs)
+    except np.linalg.LinAlgError:
+        x = np.full_like(rhs, np.nan)
+    if not np.isfinite(x).all():
+        raise NonTerminatingError(
+            f"I - T0 is singular: walks cycle without a photon and never pump dark "
+            f"for configuration: {model.describe()}"
+        )
+    m, f0 = x[:, :-2], x[:, -2]
+    terms = (m @ f0 + x[:, -1])[:, None]  # f_1
+    power = m
+    while terms[:, -1].max() >= _LAW_TAIL:
+        if terms.shape[1] > _MAX_COUNT:
+            raise NonTerminatingError(
+                f"the photon-count law does not decay within {_MAX_COUNT} photons "
+                f"for configuration: {model.describe()}"
+            )
+        terms = np.hstack([terms, power @ terms])
+        power = power @ power
+    n = 1 + int(np.argmax(terms.max(axis=0) < _LAW_TAIL))
+    law = np.zeros((6, n + 1))
+    law[~bright, 0] = 1.0
+    law[bright, 0] = f0
+    law[bright, 1:] = terms[:, :n]
+    return law
 
 
-# a chain fetch reads two steps (one Philox block) per row at most this many
-# times over, so that a fetch fills about one uniform_table chunk
-_CHAIN_PAIRS = 8
+def _chain_counts(cells: Sequence[tuple[PumpModel, int, int]], trials: int) -> np.ndarray:
+    """Classical-chain counts (cells, trials) of every cell ``(model, initial_idx, seed)``.
 
-
-def _chain_counts(
-    cells: Sequence[tuple[PumpModel, int, int]],
-    trials: int,
-    max_jumps: int,
-    block: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical-chain counts and caps (cells, trials) of every cell ``(model, initial_idx, seed)``.
-
-    Live trajectories sit in a pool of at most ``block`` rows; as rows go
-    dark, the pool refills from the pending trajectories, cell after cell.
-    The cells' models share one stacked ``(6 * models, 2)`` table of
-    cumulative excitation branching, and a row's state is its model's offset
-    into it plus its level.  Each row keeps its own trajectory and step, and
-    one fetch reads ``2 * clip(_CHUNK_BLOCKS // rows, 1, _CHAIN_PAIRS)``
-    steps of draws for every row: 2 for a full pool, up to 16 as it drains.
-    The width is even, so every row's first draw starts a Philox block.  Rows
-    step while alive and stop at ``max_jumps`` steps, where a row still
-    bright is capped.  Trajectories from a dark initial state end at once
-    with no photon and join no pool.
+    Each bright cell inverts its level's count-law CDF: trial t of a cell
+    seeded s reads draw 0 of key (s, t) and takes the first count whose
+    cumulative probability exceeds it, so the uniform 0.0 takes the first
+    count of positive probability.  The bright cells' trajectories are drawn
+    in trial order, cell after cell, in slices of at most ``_CHUNK_BLOCKS``
+    rows with one ``uniform_table`` call each.  Trajectories from a dark
+    initial level end at once with no photon and draw nothing.  Raises
+    NonTerminatingError when a bright cell's law sums short of 1 by more than
+    ``_LAW_LEAK``: some of its walks never pump dark.
     """
-    models = list({id(c[0]): c[0] for c in cells}.values())
-    which = {id(m): i for i, m in enumerate(models)}
-    exc_cum, bright = _excitation_tables(models)
     counts = np.zeros((len(cells), trials), np.int64)
-    capped = np.zeros((len(cells), trials), bool)
-    offset = np.array([6 * which[id(model)] for model, _, _ in cells], np.int64)
-    start = offset + [idx for _, idx, _ in cells]
-    seeds = np.array([seed % 2**64 for _, _, seed in cells], np.uint64)
-    todo = np.nonzero(bright[start])[0]  # the bright cells, whose trajectories are pending
-    pending, filled = todo.size * trials, 0
-    # pool rows: trajectory (cell * trials + trial), model offset, state, step, count
-    pool = np.zeros((5, min(block, pending)), np.int64)
-    n = 0
-    while True:
-        traj, base, state, step, count = pool[:, :n]
-        done = ~bright[state] | (step >= max_jumps)
-        np.put(counts, traj[done], count[done])
-        np.put(capped, traj[done], bright[state[done]])
-        n = int(n - done.sum())
-        pool[:, :n] = pool[:, : done.size][:, ~done]
-        take = min(pool.shape[1] - n, pending - filled)
-        p = np.arange(filled, filled + take)
-        cell = todo[p // trials]
-        pool[0, n : n + take] = cell * trials + p % trials
-        pool[1, n : n + take] = offset[cell]
-        pool[2, n : n + take] = start[cell]
-        pool[3:, n : n + take] = 0
-        n += take
-        filled += take
-        if not n:
-            return counts, capped
-
-        traj, base, state, step, count = pool[:, :n]
-        width = 2 * min(max(_CHUNK_BLOCKS // n, 1), _CHAIN_PAIRS)
-        cell = traj // trials
-        u = uniform_table(seeds[cell], 0, n, 2 * width, 2 * step, traj - cell * trials)
-        alive = np.ones(n, bool)
-        for k in range(width):
-            alive &= step < max_jumps
-            e = _branch(u[:, 2 * k], exc_cum, state)
-            g = _branch(u[:, 2 * k + 1], _DECAY_CUM, e)
-            count += alive & (g < 2)
-            step += alive
-            np.copyto(state, base + g, where=alive)
-            alive &= bright[state]
-            if not alive.any():
-                break
+    laws: dict[int, np.ndarray] = {}
+    todo, cdfs = [], []
+    for c, (model, idx, _) in enumerate(cells):
+        if model._chain_rates[idx].sum() <= 0:
+            continue
+        if id(model) not in laws:
+            laws[id(model)] = _count_law(model)
+        law = laws[id(model)][idx : idx + 1]
+        if not law.sum() >= 1.0 - _LAW_LEAK:  # a NaN sum fails too
+            raise NonTerminatingError(
+                f"walks from {GROUND_STATES[idx]} never pump dark (their count law sums to "
+                f"{law.sum():.3g}) for configuration: {model.describe()}"
+            )
+        todo.append(c)
+        cdfs.append(_cumulative(law)[0])
+    seeds = np.array([cells[c][2] % 2**64 for c in todo], np.uint64)
+    total = len(todo) * trials
+    for lo in range(0, total, _CHUNK_BLOCKS):
+        hi = min(lo + _CHUNK_BLOCKS, total)
+        p = np.arange(lo, hi)
+        u = uniform_table(seeds[p // trials], 0, p.size, 1, 0, p % trials)[:, 0]
+        for k in range(lo // trials, (hi - 1) // trials + 1):
+            a, z = max(lo, k * trials), min(hi, (k + 1) * trials)
+            row = slice(a - k * trials, z - k * trials)
+            counts[todo[k], row] = np.searchsorted(cdfs[k], u[a - lo : z - lo], side="right")
+    return counts
 
 
 def _sample_counts(
@@ -877,13 +882,17 @@ def _sample_counts(
     max_steps: int = _MAX_STEPS,
     block: int = _BLOCK,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and caps (cells, trials) of every cell ``(model, initial_idx, seed)`` under ``method``."""
+    """Counts and caps (cells, trials) of every cell ``(model, initial_idx, seed)`` under ``method``.
+
+    The caps and ``block`` bound the jump engine; a chain trajectory is one
+    draw from an exact law, so it has no cap and is never capped.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if method == "jump":
         return _jump_counts(cells, trials, max_jumps, max_steps, block)
     if method == "chain":
-        return _chain_counts(cells, trials, max_jumps, block)
+        return _chain_counts(cells, trials), np.zeros((len(cells), trials), bool)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -920,23 +929,26 @@ def simulate_pumping(
     """Mean and standard error of emitted blue photons until the ion is dark.
 
     Deterministic for fixed (seed, trials) regardless of ``block``: trial t
-    always draws from the substream keyed (seed, t).  A trajectory ends when
-    its time-averaged excitation rate falls below ``DARK_RATE_FRACTION`` times
-    the largest basis-state rate (a state with zero time-averaged rate can
-    never brighten; under ``chain``, when its basis state has no excitation
-    rate), or when it exceeds the jump/step caps.  The cell is a one-cell run
-    of the sampler that detection matrices run on all their cells at once.
-    Under ``chain`` that is a pool of at most ``block`` live trajectories,
-    refilled in trial order as rows go dark; each fetch reads
-    ``2 * clip(_CHUNK_BLOCKS // rows, 1, 8)`` chain steps of draws for every
-    row, and each row reads its own stream from its own step on.
+    always draws from the substream keyed (seed, t).  The cell is a one-cell
+    run of the sampler that detection matrices run on all their cells at once.
 
-    Raises NonTerminatingError if more than 1% of trajectories hit a cap.
-    Under ``method="jump"`` raises ValueError, before any propagator table is
-    built, when the model's detunings share no period, when its period needs
-    more than ``_MAX_PERIOD`` steps (standard beams below about 0.0044 G), or
-    when its frequencies overflow (fields above about 5e294 G).  The ``chain``
-    method needs no period.
+    Under ``jump`` a trajectory ends when its time-averaged excitation rate
+    falls below ``DARK_RATE_FRACTION`` times the largest basis-state rate (a
+    state with zero time-averaged rate can never brighten), or when it
+    exceeds the ``max_jumps``/``max_steps`` caps; ``block`` bounds the
+    trajectories that step together.  Raises NonTerminatingError if more than
+    1% of trajectories hit a cap, and ValueError, before any propagator table
+    is built, when the model's detunings share no period, when its period
+    needs more than ``_MAX_PERIOD`` steps (standard beams below about
+    0.0044 G), or when its frequencies overflow (fields above about 5e294 G).
+
+    Under ``chain`` each trajectory is draw 0 of its substream inverted
+    through the exact photon-count law of the chain from ``initial``
+    (``_count_law``); a basis state with no excitation rate is dark and draws
+    nothing.  The chain needs no period and has no cap: ``max_jumps``,
+    ``max_steps`` and ``block`` are unused.  Raises NonTerminatingError,
+    naming the configuration, when walks from ``initial`` can fail to pump
+    dark (a bright closed class) or the law does not decay.
     """
     if initial not in _GROUND_INDEX:
         raise ValueError(f"initial state {initial} is not a ground/metastable level")
@@ -991,11 +1003,11 @@ def _detection_matrix(
     One call samples every cell.  Under ``method="jump"`` (``_jump_counts``)
     the cells' trajectories share blocks that step together on stacked period
     tables, and a block's tables are alive only while it runs.  Under
-    ``method="chain"`` (``_chain_counts``) they pass through one pool of at
-    most ``_BLOCK`` live rows, which refills cell after cell as rows go dark;
-    each fetch reads ``2 * clip(_CHUNK_BLOCKS // rows, 1, 8)`` chain steps of
-    draws for all rows.  With no method each cell is the classical chain's
-    exact expectation with a zero SEM.
+    ``method="chain"`` (``_chain_counts``) each distinct model's count law is
+    built once, and the bright cells' trajectories are drawn from it in slices
+    of at most ``_CHUNK_BLOCKS`` rows written straight into the counts.  With
+    no method each cell is the classical chain's exact expectation with a
+    zero SEM.
     """
     models = [build_model(b_gauss, beams) for _, beams in rows]
     cells = [

@@ -42,6 +42,39 @@ def chain_counts_by_value_iteration(
     raise RuntimeError("value iteration did not converge")
 
 
+def chain_count_law_by_steps(
+    rates: np.ndarray, decay_probs: np.ndarray, max_steps: int = 100_000, tol: float = 1e-18
+) -> np.ndarray:
+    """Photon-count law (6, n) of the classical chain by dynamic programming over steps.
+
+    Entry (g, k) is the probability that a walk from level g ends dark with
+    k blue photons.  The joint law of (level, count) among the walks still
+    bright advances one excite-and-decay step at a time; mass that lands on
+    a dark level is banked under its count.  Stops once less than ``tol`` of
+    the mass is still bright.  Avoids the package's linear solves and its
+    recursion over photon counts.
+    """
+    tot = rates.sum(axis=1)
+    bright = tot > 0
+    pe = np.zeros_like(rates)
+    pe[bright] = rates[bright] / tot[bright, None]
+    step = pe @ decay_probs  # (6, 6) one step; rows of dark levels are zero
+    live = np.zeros((6, 1, 6))  # (start, count, level) mass still bright
+    live[bright, 0, bright] = 1.0
+    law = np.zeros((6, 1))
+    law[~bright, 0] = 1.0
+    for _ in range(max_steps):
+        if live.sum() < tol:
+            return law
+        moved = live @ step
+        nxt = np.zeros((6, moved.shape[1] + 1, 6))
+        nxt[:, :-1, 2:] = moved[:, :, 2:]  # no photon: lands in D
+        nxt[:, 1:, :2] = moved[:, :, :2]  # blue photon: lands in S
+        law = np.pad(law, ((0, 0), (0, 1))) + nxt[:, :, ~bright].sum(axis=2)
+        live = nxt * bright
+    raise RuntimeError("the chain did not pump dark within max_steps")
+
+
 def _simplex_grid(k: int) -> np.ndarray:
     """All length-4 compositions of k, as fractions of k (the k-step simplex grid)."""
     pts = []

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -36,27 +37,24 @@ from dqubit.scatter import (
     standard_beam,
 )
 from dqubit.scatter import (
-    _BLOCK,
     _CHANNEL_WEIGHTS,
     _DECAY,
-    _DECAY_CUM,
     _DECAY_PROBS,
-    _MAX_JUMPS,
     _MAX_PERIOD,
     EXCITED_STATES,
     _Trajectories,
     _blocks,
-    _branch,
     _chain_counts,
+    _count_law,
     _coupling,
-    _excitation_tables,
+    _cumulative,
     _jump_counts,
     _norms,
 )
 from dqubit import scatter
-from dqubit.rng import substream
+from dqubit.rng import substream, uniform_table
 
-from oracles import chain_counts_by_value_iteration, sympy_cg
+from oracles import chain_count_law_by_steps, chain_counts_by_value_iteration, sympy_cg
 
 S_DOWN, S_UP = GROUND_STATES[0], GROUND_STATES[1]
 D = GROUND_STATES[2:6]
@@ -242,9 +240,9 @@ class TestSimulatePumping:
     def test_jump_and_chain_agree_on_single_polarization(self):
         # no coherences form under one polarization: the chain is exact there
         model = d_model((SM,))
-        exact = chain_expected_counts(model, D[1])
-        jump = simulate_pumping(model, D[1], 1200, seed=6)
-        chain = simulate_pumping(model, D[1], 1200, seed=7, method="chain")
+        exact = chain_expected_counts(model, D[2])
+        jump = simulate_pumping(model, D[2], 1200, seed=6)
+        chain = simulate_pumping(model, D[2], 1200, seed=7, method="chain")
         assert jump.mean == pytest.approx(exact, abs=3 * jump.sem)
         assert chain.mean == pytest.approx(exact, abs=3 * chain.sem)
 
@@ -368,7 +366,7 @@ class TestJumpEngine:
         model = incommensurate_model()
         with pytest.raises(ValueError, match="share no period"):
             simulate_pumping(model, D[1], 400, seed=6)
-        assert_chain_sampling_is_exact(model, D[1])
+        assert_chain_sampling_is_exact(model, D[2])
 
     def test_incommensurate_combination_override_raises_under_jump(self):
         red, blue = d_detection_beams((SP, PI), 2.2)
@@ -545,21 +543,148 @@ CHAIN_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("block", [1, 7, _BLOCK])
-@pytest.mark.parametrize("max_jumps", [3, _MAX_JUMPS])
-def test_chain_pool_matches_scalar_walker(block, max_jumps):
+def chain_cdf(model, idx):
+    return _cumulative(_count_law(model)[idx : idx + 1])[0]
+
+
+@pytest.mark.parametrize("chunk", [5, 12, 8192])
+def test_chain_trial_inverts_draw_zero_of_its_own_key(monkeypatch, chunk):
+    # slices of 5 rows cut cells mid-trial; every bright trajectory reads one
+    # uniform, and the dark initial states read none
+    monkeypatch.setattr(scatter, "_CHUNK_BLOCKS", chunk)
+    rows = []
+
+    def counted(seed, first, n, *args):
+        rows.append(n)
+        return uniform_table(seed, first, n, *args)
+
+    monkeypatch.setattr(scatter, "uniform_table", counted)
     trials = 12
-    counts, capped = _chain_counts(CHAIN_CELLS, trials, max_jumps, block)
-    for (model, idx, seed), got, got_capped in zip(CHAIN_CELLS, counts, capped):
-        ref = [chain_walk(model, idx, substream(seed, t).random, max_jumps) for t in range(trials)]
-        assert got.tolist() == [c for c, _ in ref]
-        assert got_capped.tolist() == [cap for _, cap in ref]
-    assert capped.any() == (max_jumps == 3)
-    assert (counts[[1, 2]] == 0).all() and not capped[[1, 2]].any()  # the dark initial states
+    counts = _chain_counts(CHAIN_CELLS, trials)
+    assert sum(rows) == 3 * trials and max(rows) <= chunk
+    for (model, idx, seed), got in zip(CHAIN_CELLS, counts):
+        if model._chain_rates[idx].sum() == 0:
+            assert (got == 0).all()
+            continue
+        cdf = chain_cdf(model, idx)
+        ref = [np.searchsorted(cdf, substream(seed, t).random(), side="right") for t in range(trials)]
+        assert got.tolist() == ref
+
+
+def test_chain_has_no_cap():
+    # max_jumps bounds the jump engine only: a chain trajectory is one draw from its law
+    model = d_model((SP, PI))
+    ref = simulate_pumping(model, D[0], 200, seed=8, method="chain")
+    res = simulate_pumping(model, D[0], 200, seed=8, method="chain", max_jumps=3, max_steps=5)
+    assert np.array_equal(res.counts, ref.counts) and res.capped_fraction == 0.0
+    assert res.counts.max() > 3
+
+
+# 1.31 G at intensity 0.3: the S rows' excitation sums from d-1/2 and d+1/2 end at 1 - 2**-52
+HIGH_ULP = s_model(1.31, SP, 0.3)
+LAW_MODELS = {
+    **{label: d_model(pols) for label, pols in D_SETTINGS},
+    "s-sigma+": s_model(),
+    "s-sigma-": s_model(probe=SM),
+    "high-ulp": HIGH_ULP,
+}
+
+
+@functools.cache
+def step_oracle_law(label):
+    model = LAW_MODELS[label]
+    return chain_count_law_by_steps(model._chain_rates, model._decay_probs)
+
+
+class TestCountLaw:
+    @pytest.mark.parametrize("label", list(LAW_MODELS))
+    def test_law_matches_the_step_oracle(self, label):
+        law, ref = _count_law(LAW_MODELS[label]), step_oracle_law(label)
+        n = max(law.shape[1], ref.shape[1])
+        pad = lambda a: np.pad(a, ((0, 0), (0, n - a.shape[1])))
+        assert np.abs(pad(law) - pad(ref)).max() < 1e-12
+
+    @pytest.mark.parametrize("label", list(LAW_MODELS))
+    def test_law_means_match_value_iteration(self, label):
+        model = LAW_MODELS[label]
+        law = _count_law(model)
+        ref = chain_counts_by_value_iteration(model._chain_rates, model._decay_probs)
+        assert law @ np.arange(law.shape[1]) == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("label", list(LAW_MODELS))
+    def test_every_cdf_ends_at_exactly_one(self, label):
+        cdf = _cumulative(_count_law(LAW_MODELS[label]))
+        assert (cdf[:, -1] == 1.0).all()
+        assert (np.diff(cdf, axis=1) >= 0).all() and (cdf <= 1.0).all()
+
+    @pytest.mark.parametrize("u", [0.0, 1 - 2**-53])
+    def test_extreme_uniforms_pick_the_first_and_last_possible_counts(self, monkeypatch, u):
+        # the last possible count is the last the CDF gives positive probability:
+        # its first entry at 1.0
+        monkeypatch.setattr(scatter, "uniform_table", lambda seed, first, n, d, *a: np.full((n, d), u))
+        cells = [(model, idx, 1) for model in (HIGH_ULP, LAW_MODELS["sigma+pi"]) for idx in range(6)]
+        cells = [cell for cell in cells if cell[0]._chain_rates[cell[1]].sum() > 0]
+        counts = _chain_counts(cells, 3)
+        for (model, idx, _), got in zip(cells, counts):
+            law, cdf = _count_law(model)[idx], chain_cdf(model, idx)
+            possible = np.nonzero(np.diff(cdf, prepend=0.0) > 0)[0]
+            want = possible[0] if u == 0.0 else possible[-1]
+            assert law[want] > 0 and got.tolist() == [want] * 3
+        assert len(cells) == 10
+
+    @pytest.mark.parametrize("label,idx,seed", [("sigma+pi", 2, 91), ("s-sigma+", 0, 92)])
+    def test_scalar_walks_follow_the_law(self, label, idx, seed):
+        # chi-square of 2000 step-by-step walks against the law, tails pooled
+        # into the outermost counts expected at least 5 times
+        from scipy.stats import chi2
+
+        model, walks = LAW_MODELS[label], 2000
+        counts = []
+        for t in range(walks):
+            count, capped = chain_walk(model, idx, substream(seed, t).random, 100_000)
+            assert not capped
+            counts.append(count)
+        law = _count_law(model)[idx]
+        expected = walks * law
+        observed = np.bincount(counts, minlength=law.size)[: law.size]
+        assert observed.sum() == walks
+        lo, hi = np.nonzero(expected >= 5)[0][[0, -1]]
+
+        def pooled(x):
+            bins = x[lo : hi + 1].astype(float)
+            bins[0] += x[:lo].sum()
+            bins[-1] += x[hi + 1 :].sum()
+            return bins
+
+        e, o = pooled(expected), pooled(observed)
+        stat = ((o - e) ** 2 / e).sum()
+        assert chi2.sf(stat, e.size - 1) > 0.01
+
+
+class TestChainTermination:
+    def test_bright_closed_class_raises_naming_the_configuration(self):
+        # every level is bright under all polarizations of both colors: no walk pumps dark
+        beams = [standard_beam(color, (SP, SM, PI), 2.2) for color in BeamColor]
+        with pytest.raises(NonTerminatingError, match="never pump dark.*red_650"):
+            simulate_pumping(build_model(2.2, beams), D[0], 10, seed=1, method="chain")
+
+    def test_photon_free_cycle_raises(self, monkeypatch):
+        # every decay lands in d-3/2, which stays bright: I - T0 is singular
+        to_d = np.zeros((2, 6))
+        to_d[:, 2] = 1.0
+        monkeypatch.setattr(scatter.PumpModel, "_decay_probs", to_d)
+        beams = [standard_beam(color, (SP, SM, PI), 2.2) for color in BeamColor]
+        with pytest.raises(NonTerminatingError, match="without a photon.*blue_493"):
+            simulate_pumping(build_model(2.2, beams), D[0], 10, seed=1, method="chain")
+
+    def test_slow_tail_raises(self, monkeypatch):
+        monkeypatch.setattr(scatter, "_MAX_COUNT", 8)
+        with pytest.raises(NonTerminatingError, match="does not decay within 8 photons"):
+            simulate_pumping(d_model((SP, PI)), D[0], 10, seed=1, method="chain")
 
 
 def test_chain_matrix_memory_is_bounded_by_its_outputs():
-    # the pool holds at most _BLOCK live rows, whatever the trial count
+    # draws are made in slices of at most _CHUNK_BLOCKS rows, whatever the trial count
     def peak_bytes(trials):
         tracemalloc.start()
         try:
@@ -571,37 +696,6 @@ def test_chain_matrix_memory_is_bounded_by_its_outputs():
     peak_bytes(100)  # first call warms numpy's caches
     outputs = 20 * 8000 * (8 + 1)  # int64 counts and capped flags of the larger matrix
     assert peak_bytes(8000) - peak_bytes(1000) <= outputs + 2**20
-
-
-class TestChainTables:
-    # 1.31 G at intensity 0.3: the S rows' excitation sums from d-1/2 and d+1/2 end at 1 - 2**-52
-    HIGH_ULP = s_model(1.31, SP, 0.3)
-
-    def test_cumulative_tables_end_at_exactly_one(self):
-        raw = np.cumsum(_DECAY_PROBS, axis=1)
-        assert (raw[:, -1] == 1 - 2**-52).all()
-        assert (_DECAY_CUM[:, -1] == 1.0).all()
-        # from each excited level's last reachable level on
-        assert _DECAY_CUM[0, 4] == 1.0 and _DECAY_PROBS[0, 5] == 0.0
-        lam = self.HIGH_ULP._chain_rates[3:5]
-        assert (np.cumsum(lam / lam.sum(axis=1)[:, None], axis=1)[:, -1] == 1 - 2**-52).all()
-        exc_cum, bright = _excitation_tables([self.HIGH_ULP])
-        assert (exc_cum[:, -1] == 1.0).all() and bright[3:5].all()
-
-    def test_largest_uniform_picks_the_last_possible_branch(self, monkeypatch):
-        top = 1 - 2**-53
-        exc_cum, bright = _excitation_tables([self.HIGH_ULP])
-        picks = _branch(np.full(6, top), exc_cum, np.arange(6))
-        last = [max(np.nonzero(r)[0]) for r in self.HIGH_ULP._chain_rates[bright]]
-        assert picks[bright].tolist() == last
-        assert _branch(np.full(2, top), _DECAY_CUM, np.arange(2)).tolist() == [4, 5]
-        # a stream of nothing but the largest uniform walks the chain without leaving its tables
-        monkeypatch.setattr(scatter, "uniform_table", lambda seed, first, n, d, *a: np.full((n, d), top))
-        cells = [(self.HIGH_ULP, 3, 1), (self.HIGH_ULP, 4, 2), (d_model((SM,)), 5, 3)]
-        counts, capped = _chain_counts(cells, 3, 6, _BLOCK)
-        for (model, idx, _), got, got_capped in zip(cells, counts, capped):
-            ref = chain_walk(model, idx, lambda: top, 6)
-            assert got.tolist() == [ref[0]] * 3 and got_capped.tolist() == [ref[1]] * 3
 
 
 class TestDetectionMatrixS:
