@@ -103,8 +103,8 @@ class AtomConstants:
     mu_b is deliberately the rounded 1.4 MHz/G rather than the CODATA value,
     so that benchmark splittings come out as the usual round numbers.
 
-    The functions here take any instance; the pumping model (``scatter``) and
-    the STIRAP loss are fixed to ``BA138``'s P lifetime and branching.
+    The Zeeman and sensitivity functions here, the pumping model (``scatter``)
+    and the STIRAP loss all use ``BA138``.
     """
 
     mu_b_hz_per_gauss: float = 1.4e6
@@ -205,9 +205,7 @@ def cg_weight(lower: ZeemanState, upper: ZeemanState, pol: Polarization) -> floa
     return cg_coefficient(lower, upper, pol) ** 2
 
 
-def zeeman_splitting(
-    manifold: Manifold, b_gauss: float, constants: AtomConstants = BA138
-) -> float:
+def zeeman_splitting(manifold: Manifold, b_gauss: float) -> float:
     """Frequency gap in Hz between adjacent m_J levels of ``manifold`` at field B.
 
     Equals g * mu_B * B; for the S doublet this is half the full doublet
@@ -215,12 +213,12 @@ def zeeman_splitting(
     """
     if b_gauss < 0:
         raise ValueError("magnetic field must be nonnegative")
-    return constants.g_factor(manifold) * constants.mu_b_hz_per_gauss * b_gauss
+    return BA138.g_factor(manifold) * BA138.mu_b_hz_per_gauss * b_gauss
 
 
-def zeeman_shift(state: ZeemanState, b_gauss: float, constants: AtomConstants = BA138) -> float:
+def zeeman_shift(state: ZeemanState, b_gauss: float) -> float:
     """Signed Zeeman energy shift of one level in Hz: g * mu_B * B * m_J."""
-    return zeeman_splitting(state.manifold, b_gauss, constants) * state.mj
+    return zeeman_splitting(state.manifold, b_gauss) * state.mj
 
 
 def _as_quartet(vec: Union[Sequence[complex], np.ndarray]) -> np.ndarray:
@@ -252,7 +250,7 @@ def _jz_of(state) -> tuple[Manifold, float]:
     return Manifold.D_THREE_HALF, jz_expectation(vec, vec).real
 
 
-def qubit_sensitivity(a, b, constants: AtomConstants = BA138) -> float:
+def qubit_sensitivity(a, b) -> float:
     """First-order magnetic sensitivity of the |a> <-> |b> transition, kHz/mG.
 
     sensitivity = |g * mu_B * (<a|J_z|a> - <b|J_z|b>)|.  Both states must live
@@ -265,5 +263,5 @@ def qubit_sensitivity(a, b, constants: AtomConstants = BA138) -> float:
             f"sensitivity is defined within a single manifold, got "
             f"{man_a.value} and {man_b.value}"
         )
-    hz_per_gauss = constants.g_factor(man_a) * constants.mu_b_hz_per_gauss * abs(jz_a - jz_b)
+    hz_per_gauss = BA138.g_factor(man_a) * BA138.mu_b_hz_per_gauss * abs(jz_a - jz_b)
     return hz_per_gauss * 1e-6  # Hz/G -> kHz/mG

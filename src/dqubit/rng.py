@@ -15,8 +15,10 @@ followed by ``random()`` yields.
 Stream layout of one pumping trajectory (trial ``t`` of a cell seeded ``s``):
 
 * ``chain``: one uniform, column 0, inverted through the count law's CDF.
-* ``jump``: the norm threshold of jump ``j`` (``j = 0 .. max_jumps``) is
-  column ``j``; the decay channel of jump ``j`` is column ``max_jumps + 1 + j``.
+* ``jump``: the norm threshold of jump ``j`` (``j = 0 .. _MAX_JUMPS``) is
+  column ``j``; the decay channel of jump ``j`` is column ``_MAX_JUMPS + 1 + j``.
+  ``scatter._MAX_JUMPS`` thus fixes the jump stream layout: changing it
+  moves every jump trajectory's bytes and needs a ``__version__`` bump.
 
 Jump trajectories fetch their columns in windows, for live trajectories
 only, so a trajectory costs the draws it uses rather than the whole stream.

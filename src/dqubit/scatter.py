@@ -14,12 +14,12 @@ quantum jumps on the ground+metastable manifold.  Two simulation methods:
   beats at detuning differences; the time grid splits their common period
   into a whole number of steps.  Trajectories run in blocks that may mix
   the cells of several models: the models' step propagators are stacked on
-  one phase axis, and every trajectory advances the same power-of-two
-  stride of steps per iteration from its own phase through precomputed
-  products.  Only trajectories whose norm crossed their draw bisect back to
-  the crossing step.  A detection matrix steps all its bright cells in one
-  block while the stacked tables fit the budget of one ``_MAX_PERIOD``-step
-  model; ``simulate_pumping`` is a block of one cell.  Detunings without a
+  one phase axis, and every trajectory advances up to the same power-of-two
+  stride of steps per iteration from its own phase, binary lifting through
+  precomputed products to the step where its norm crosses its draw.  A
+  detection matrix steps all its bright cells in one block while the
+  stacked tables fit the budget of one ``_MAX_PERIOD``-step model;
+  ``simulate_pumping`` is a block of one cell.  Detunings without a
   common period, or a period longer than ``_MAX_PERIOD`` steps (fields below
   about 0.0044 G with the standard beams), raise ValueError.
 * ``chain`` - the classical embedded Markov chain over basis states
@@ -61,7 +61,7 @@ from .atom import (
     zeeman_splitting,
 )
 from .linalg import expm
-from .rng import _CHUNK_BLOCKS, uniform_table
+from .rng import uniform_table
 
 __all__ = [
     "BeamColor",
@@ -372,7 +372,11 @@ _MAX_PERIOD = 8192  # steps per period
 # needs, 37 MB as S and D blocks
 _MAX_TABLE = _MAX_PERIOD.bit_length() * _MAX_PERIOD
 _MIN_STRIDE_LOG2 = 5  # a period advance covers at least 32 steps
-_MAX_JUMPS, _MAX_STEPS, _BLOCK = 400, 400_000, 8192  # per-trajectory caps; trajectories per block
+# jumps per jump trajectory; a format constant: the decay channel of jump j is
+# draw column _MAX_JUMPS + 1 + j (rng module docstring)
+_MAX_JUMPS = 400
+_MAX_STEPS = 400_000  # steps per jump trajectory
+_BLOCK = 8192  # trajectories per jump block and per chain slice
 # each beam drives one manifold and the model keeps no S-D Raman terms, so the
 # no-jump generator, and with it every step propagator, is block diagonal
 _MANIFOLDS = (slice(0, 2), slice(2, 6))
@@ -511,7 +515,7 @@ class _Trajectories:
     common color, component and group counts.
     """
 
-    def __init__(self, cells: Sequence[tuple], max_jumps: int):
+    def __init__(self, cells: Sequence[tuple]):
         engines = list({id(c[0]): c[0] for c in cells}.values())
         which = {id(e): m for m, e in enumerate(engines)}
         sizes = [c[4] for c in cells]
@@ -537,7 +541,6 @@ class _Trajectories:
         self.dt = np.array([e.dt for e in engines])
 
         n = self.model.size
-        self.max_jumps = max_jumps
         self.counts = np.zeros(n, np.int64)
         self.jumps = np.zeros(n, np.int64)
         self.capped = np.zeros(n, bool)
@@ -575,7 +578,7 @@ class _Trajectories:
         """The rows' draw windows from their current jump on: thresholds, then channels.
 
         One table holds both streams: the rows' thresholds from column
-        ``jumps``, then the same rows' channels from column ``max_jumps + 1 + jumps``.
+        ``jumps``, then the same rows' channels from column ``_MAX_JUMPS + 1 + jumps``.
         A window may run past its stream's last column; those draws are never read.
         """
         first = self.jumps[rows]
@@ -585,7 +588,7 @@ class _Trajectories:
             0,
             both.size,
             _JUMP_WINDOW,
-            np.concatenate([first, first + self.max_jumps + 1]),
+            np.concatenate([first, first + _MAX_JUMPS + 1]),
             self.trial[both],
         )
 
@@ -614,11 +617,11 @@ class _Trajectories:
     def jump(self, rows: np.ndarray, psi: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Jump rows whose no-jump norm fell to their threshold at ``steps``.
 
-        Rows that already made ``max_jumps`` jumps are capped instead.  Updates
+        Rows that already made ``_MAX_JUMPS`` jumps are capped instead.  Updates
         ``psi`` in place to the rows' states afterwards (normalized where they
         jumped) and returns it.
         """
-        over = self.jumps[rows] >= self.max_jumps
+        over = self.jumps[rows] >= _MAX_JUMPS
         self.capped[rows[over]] = True
         self.done[rows[over]] = True
         go = np.nonzero(~over)[0]
@@ -656,66 +659,51 @@ class _Trajectories:
         self.done[rows[rsec < DARK_RATE_FRACTION * self.rate_ref[mi]]] = True
 
 
-def _period_steps(run: _Trajectories, max_steps: int) -> None:
-    """Advance each row ``stride`` steps per iteration from its own phase; bisect to jumps.
+def _period_steps(run: _Trajectories) -> None:
+    """Advance each row up to ``2**levels`` steps per iteration from its own phase; stop at jumps.
 
-    No-jump evolution never raises the norm (G + G^dagger <= 0), so a row whose
-    norm is still above its threshold after the advance made no jump in it.
-    For the others, binary lifting over ``lift`` finds the last step above the
-    threshold; one more step reaches the crossing, where the row jumps.
+    No-jump evolution never raises the norm (G + G^dagger <= 0), so binary
+    lifting over ``lift``, from the full stride down to one step, finds the
+    last step above each row's threshold within its limit: the stride, or
+    what is left of ``_MAX_STEPS``.  A row that stops short of its limit
+    crosses on the next step, where it jumps.
     """
     lift, levels = run.lift, run.levels
-    stride = 1 << levels
     rows, psi = np.arange(len(run.psi)), run.psi
     step = np.zeros(rows.size, np.int64)
     while True:
-        cap = step >= max_steps
+        cap = step >= _MAX_STEPS
         if cap.any():
             run.capped[rows[cap]] = True
             rows, psi, step = rows[~cap], psi[~cap], step[~cap]
         if not rows.size:
             return
         off, period = run.row_off[rows], run.row_period[rows]
-        limit = np.minimum(stride, max_steps - step)
+        limit = np.minimum(1 << levels, _MAX_STEPS - step)
         thresh = run.thresh[rows]
-        clear = np.zeros(rows.size, bool)
-        full = np.nonzero(limit == stride)[0]
-        if full.size:
-            adv = _apply(lift, levels, off[full] + step[full] % period[full], psi[full])
-            ok = _norms(adv) > thresh[full]
-            psi[full[ok]] = adv[ok]
-            step[full[ok]] += stride
-            clear[full[ok]] = True
-        # bisect rows that crossed their threshold or have less than a stride left
-        sub = np.nonzero(~clear)[0]
-        if sub.size:
-            sub_psi, taken = psi[sub], np.zeros(sub.size, np.int64)
-            sub_off, sub_period, sub_step = off[sub], period[sub], step[sub]
-            for k in range(levels - 1, -1, -1):
-                g = np.nonzero(taken + (1 << k) <= limit[sub])[0]
-                phase = sub_off[g] + (sub_step[g] + taken[g]) % sub_period[g]
-                cand = _apply(lift, k, phase, sub_psi[g])
-                ok = _norms(cand) > thresh[sub[g]]
-                sub_psi[g[ok]] = cand[ok]
-                taken[g[ok]] += 1 << k
-            # a row that stopped short of its limit crosses on the next step
-            hit = np.nonzero(taken < limit[sub])[0]
-            phase = sub_off[hit] + (sub_step[hit] + taken[hit]) % sub_period[hit]
-            sub_psi[hit] = _apply(lift, 0, phase, sub_psi[hit])
-            taken[hit] += 1
-            step[sub] += taken
-            jumped = sub[hit]
-            sub_psi[hit] = run.jump(rows[jumped], sub_psi[hit], step[jumped])
-            psi[sub] = sub_psi
+        taken = np.zeros(rows.size, np.int64)
+        for k in range(levels, -1, -1):
+            g = np.nonzero(taken + (1 << k) <= limit)[0]
+            phase = off[g] + (step[g] + taken[g]) % period[g]
+            cand = _apply(lift, k, phase, psi[g])
+            ok = _norms(cand) > thresh[g]
+            psi[g[ok]] = cand[ok]
+            taken[g[ok]] += 1 << k
+        hit = np.nonzero(taken < limit)[0]
+        phase = off[hit] + (step[hit] + taken[hit]) % period[hit]
+        psi[hit] = _apply(lift, 0, phase, psi[hit])
+        taken[hit] += 1
+        step += taken
+        psi[hit] = run.jump(rows[hit], psi[hit], step[hit])
         run.dark(rows, psi)
         keep = ~run.done[rows]
         rows, psi, step = rows[keep], psi[keep], step[keep]
 
 
-def _blocks(cells: Sequence[tuple[int, _JumpEngine]], trials: int, block: int):
+def _blocks(cells: Sequence[tuple[int, _JumpEngine]], trials: int):
     """Cut ``trials`` trajectories of each ``(cell, engine)`` into blocks of ``(cell, first_trial, n)``.
 
-    Cells fill blocks in order.  A block holds at most ``block`` trajectories,
+    Cells fill blocks in order.  A block holds at most ``_BLOCK`` trajectories,
     so a cell's trials may be split between two blocks, and a new model joins
     only while the stacked lifts stay within ``_MAX_TABLE`` entries (one
     model alone always fits).
@@ -727,11 +715,11 @@ def _blocks(cells: Sequence[tuple[int, _JumpEngine]], trials: int, block: int):
         lo = 0
         while lo < trials:
             new = not any(e is eng for e in models)
-            if size == block or (new and _table_size(models + [eng]) > _MAX_TABLE):
+            if size == _BLOCK or (new and _table_size(models + [eng]) > _MAX_TABLE):
                 yield pieces
                 pieces, models, size = [], [], 0
                 continue
-            n = min(trials - lo, block - size)
+            n = min(trials - lo, _BLOCK - size)
             pieces.append((c, lo, n))
             if new:
                 models.append(eng)
@@ -742,11 +730,7 @@ def _blocks(cells: Sequence[tuple[int, _JumpEngine]], trials: int, block: int):
 
 
 def _jump_counts(
-    cells: Sequence[tuple[PumpModel, int, int]],
-    trials: int,
-    max_jumps: int,
-    max_steps: int,
-    block: int,
+    cells: Sequence[tuple[PumpModel, int, int]], trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantum-jump counts and caps (cells, trials) of every cell ``(model, initial_idx, seed)``.
 
@@ -760,11 +744,9 @@ def _jump_counts(
     bright = [
         (c, eng) for c, (eng, (_, idx, _)) in enumerate(zip(engines, cells)) if not eng.dark_basis[idx]
     ]
-    for pieces in _blocks(bright, trials, block):
-        run = _Trajectories(
-            [(engines[c], cells[c][1], cells[c][2], lo, n) for c, lo, n in pieces], max_jumps
-        )
-        _period_steps(run, max_steps)
+    for pieces in _blocks(bright, trials):
+        run = _Trajectories([(engines[c], cells[c][1], cells[c][2], lo, n) for c, lo, n in pieces])
+        _period_steps(run)
         at = 0
         for c, lo, n in pieces:
             counts[c, lo : lo + n] = run.counts[at : at + n]
@@ -839,7 +821,7 @@ def _chain_counts(cells: Sequence[tuple[PumpModel, int, int]], trials: int) -> n
     seeded s reads draw 0 of key (s, t) and takes the first count whose
     cumulative probability exceeds it, so the uniform 0.0 takes the first
     count of positive probability.  The bright cells' trajectories are drawn
-    in trial order, cell after cell, in slices of at most ``_CHUNK_BLOCKS``
+    in trial order, cell after cell, in slices of at most ``_BLOCK``
     rows with one ``uniform_table`` call each.  Trajectories from a dark
     initial level end at once with no photon and draw nothing.  Raises
     NonTerminatingError when a bright cell's law sums short of 1 by more than
@@ -863,8 +845,8 @@ def _chain_counts(cells: Sequence[tuple[PumpModel, int, int]], trials: int) -> n
         cdfs.append(_cumulative(law)[0])
     seeds = np.array([cells[c][2] % 2**64 for c in todo], np.uint64)
     total = len(todo) * trials
-    for lo in range(0, total, _CHUNK_BLOCKS):
-        hi = min(lo + _CHUNK_BLOCKS, total)
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
         p = np.arange(lo, hi)
         u = uniform_table(seeds[p // trials], 0, p.size, 1, 0, p % trials)[:, 0]
         for k in range(lo // trials, (hi - 1) // trials + 1):
@@ -875,22 +857,16 @@ def _chain_counts(cells: Sequence[tuple[PumpModel, int, int]], trials: int) -> n
 
 
 def _sample_counts(
-    cells: Sequence[tuple[PumpModel, int, int]],
-    trials: int,
-    method: str,
-    max_jumps: int = _MAX_JUMPS,
-    max_steps: int = _MAX_STEPS,
-    block: int = _BLOCK,
+    cells: Sequence[tuple[PumpModel, int, int]], trials: int, method: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts and caps (cells, trials) of every cell ``(model, initial_idx, seed)`` under ``method``.
 
-    The caps and ``block`` bound the jump engine; a chain trajectory is one
-    draw from an exact law, so it has no cap and is never capped.
+    Only jump trajectories can be capped; a chain trajectory is one draw from an exact law.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if method == "jump":
-        return _jump_counts(cells, trials, max_jumps, max_steps, block)
+        return _jump_counts(cells, trials)
     if method == "chain":
         return _chain_counts(cells, trials), np.zeros((len(cells), trials), bool)
     raise ValueError(f"unknown method {method!r}")
@@ -922,39 +898,34 @@ def simulate_pumping(
     trials: int,
     seed: int,
     method: str = "jump",
-    max_jumps: int = _MAX_JUMPS,
-    max_steps: int = _MAX_STEPS,
-    block: int = _BLOCK,
 ) -> PumpResult:
     """Mean and standard error of emitted blue photons until the ion is dark.
 
-    Deterministic for fixed (seed, trials) regardless of ``block``: trial t
-    always draws from the substream keyed (seed, t).  The cell is a one-cell
-    run of the sampler that detection matrices run on all their cells at once.
+    Deterministic for fixed (seed, trials): trial t always draws from the
+    substream keyed (seed, t).  The cell is a one-cell run of the sampler
+    that detection matrices run on all their cells at once.
 
     Under ``jump`` a trajectory ends when its time-averaged excitation rate
     falls below ``DARK_RATE_FRACTION`` times the largest basis-state rate (a
     state with zero time-averaged rate can never brighten), or when it
-    exceeds the ``max_jumps``/``max_steps`` caps; ``block`` bounds the
-    trajectories that step together.  Raises NonTerminatingError if more than
-    1% of trajectories hit a cap, and ValueError, before any propagator table
-    is built, when the model's detunings share no period, when its period
-    needs more than ``_MAX_PERIOD`` steps (standard beams below about
-    0.0044 G), or when its frequencies overflow (fields above about 5e294 G).
+    exceeds the ``_MAX_JUMPS``/``_MAX_STEPS`` caps.  Raises
+    NonTerminatingError if more than 1% of trajectories hit a cap, and
+    ValueError, before any propagator table is built, when the model's
+    detunings share no period, when its period needs more than
+    ``_MAX_PERIOD`` steps (standard beams below about 0.0044 G), or when its
+    frequencies overflow (fields above about 5e294 G).
 
     Under ``chain`` each trajectory is draw 0 of its substream inverted
     through the exact photon-count law of the chain from ``initial``
     (``_count_law``); a basis state with no excitation rate is dark and draws
-    nothing.  The chain needs no period and has no cap: ``max_jumps``,
-    ``max_steps`` and ``block`` are unused.  Raises NonTerminatingError,
-    naming the configuration, when walks from ``initial`` can fail to pump
-    dark (a bright closed class) or the law does not decay.
+    nothing.  The chain needs no period and has no cap.  Raises
+    NonTerminatingError, naming the configuration, when walks from
+    ``initial`` can fail to pump dark (a bright closed class) or the law
+    does not decay.
     """
     if initial not in _GROUND_INDEX:
         raise ValueError(f"initial state {initial} is not a ground/metastable level")
-    counts, capped = _sample_counts(
-        [(model, _GROUND_INDEX[initial], seed)], trials, method, max_jumps, max_steps, block
-    )
+    counts, capped = _sample_counts([(model, _GROUND_INDEX[initial], seed)], trials, method)
     return _pump_result(model, counts[0], capped[0])
 
 
@@ -1005,7 +976,7 @@ def _detection_matrix(
     tables, and a block's tables are alive only while it runs.  Under
     ``method="chain"`` (``_chain_counts``) each distinct model's count law is
     built once, and the bright cells' trajectories are drawn from it in slices
-    of at most ``_CHUNK_BLOCKS`` rows written straight into the counts.  With
+    of at most ``_BLOCK`` rows written straight into the counts.  With
     no method each cell is the classical chain's exact expectation with a
     zero SEM.
     """

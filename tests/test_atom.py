@@ -154,10 +154,6 @@ class TestSensitivity:
         s = make_synth_states()
         assert qubit_sensitivity(s.d1, s.d2) == pytest.approx(0.0, abs=1e-12)
 
-    def test_scales_linearly_with_bohr_magneton(self, s_down, s_up):
-        doubled = AtomConstants(mu_b_hz_per_gauss=2.8e6)
-        assert qubit_sensitivity(s_down, s_up, doubled) == pytest.approx(5.6)
-
     def test_s_doublet_is_the_most_sensitive_benchmark(self, s_down, s_up):
         s = make_synth_states()
         pairs = [

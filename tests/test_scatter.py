@@ -246,10 +246,11 @@ class TestSimulatePumping:
         assert jump.mean == pytest.approx(exact, abs=3 * jump.sem)
         assert chain.mean == pytest.approx(exact, abs=3 * chain.sem)
 
-    def test_deterministic_and_chunking_invariant(self):
+    def test_deterministic_and_chunking_invariant(self, monkeypatch):
         model = s_model()
         a = simulate_pumping(model, S_DOWN, 300, seed=9)
-        b = simulate_pumping(model, S_DOWN, 300, seed=9, block=64)
+        monkeypatch.setattr(scatter, "_BLOCK", 64)
+        b = simulate_pumping(model, S_DOWN, 300, seed=9)
         assert np.array_equal(a.counts, b.counts)
 
     def test_counts_are_nonnegative_integers(self):
@@ -264,9 +265,10 @@ class TestSimulatePumping:
         ratio = r1.sem / r2.sem
         assert ratio == pytest.approx(2.0, rel=0.2)
 
-    def test_step_cap_raises_naming_configuration(self):
+    def test_step_cap_raises_naming_configuration(self, monkeypatch):
+        monkeypatch.setattr(scatter, "_MAX_STEPS", 5)
         with pytest.raises(NonTerminatingError, match="blue_493"):
-            simulate_pumping(s_model(), S_DOWN, 50, seed=1, max_steps=5)
+            simulate_pumping(s_model(), S_DOWN, 50, seed=1)
 
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError):
@@ -288,13 +290,15 @@ def standard_rows(b):
 STANDARD_ROWS = [(b, *row) for b in (2.2, 0.1) for row in standard_rows(b)]
 
 
-def lockstep(eng, initial_idx, seed, first_trial, n, max_jumps, max_steps):
+def lockstep(eng, initial_idx, seed, first_trial, n):
     """Reference sampler: every row takes one step propagator at a time.
 
-    Jumps and dark checks use the engine's ``_Trajectories`` bookkeeping; the
-    dark check runs every 16 steps and at the step cap.
+    Jumps, the jump cap and dark checks use the engine's ``_Trajectories``
+    bookkeeping; the dark check runs every 16 steps and at the step cap
+    ``scatter._MAX_STEPS``.
     """
-    run = _Trajectories([(eng, initial_idx, seed, first_trial, n)], max_jumps)
+    max_steps = scatter._MAX_STEPS
+    run = _Trajectories([(eng, initial_idx, seed, first_trial, n)])
     props = eng.propagators()
     rows, psi, step = np.arange(n), run.psi, 0
     while rows.size and step < max_steps:
@@ -340,7 +344,7 @@ class TestJumpEngine:
     @pytest.mark.parametrize(
         "b,label,rows", BLOCK_CASES, ids=[f"{c[0]}G-{c[1]}" for c in BLOCK_CASES]
     )
-    def test_strided_steps_match_lockstep_reference(self, b, label, rows):
+    def test_strided_steps_match_lockstep_reference(self, monkeypatch, b, label, rows):
         # every state up to a step cap that ends mid-stride, then each row's
         # first bright state until every trajectory is dark
         models = [build_model(b, beams) for beams, _ in rows]
@@ -356,11 +360,27 @@ class TestJumpEngine:
         for group, n, max_steps in groups:
             cells = [(m, GROUND_STATES.index(s), seed + i) for i, (m, s) in enumerate(group)]
             seed += len(cells)
-            counts, capped = _jump_counts(cells, n, 400, max_steps, 8192)
+            monkeypatch.setattr(scatter, "_MAX_STEPS", max_steps)
+            counts, capped = _jump_counts(cells, n)
             for (m, idx, cell_seed), got, got_capped in zip(cells, counts, capped):
-                ref_counts, ref_capped = lockstep(m._jump_engine, idx, cell_seed, 0, n, 400, max_steps)
+                ref_counts, ref_capped = lockstep(m._jump_engine, idx, cell_seed, 0, n)
                 assert np.array_equal(got, ref_counts)
                 assert np.array_equal(got_capped, ref_capped)
+
+    def test_jump_cap_matches_lockstep_reference_and_raises(self, monkeypatch):
+        # a bright sigma+pi trajectory makes about 12 jumps before it is dark:
+        # a cap of 3 stops most of them
+        monkeypatch.setattr(scatter, "_MAX_JUMPS", 3)
+        model, trials = d_model((SP, PI)), 50
+        cells = [(model, 2 + ci, 60 + ci) for ci in range(4)]
+        counts, capped = _jump_counts(cells, trials)
+        assert capped.any() and counts.max() <= 3
+        for (m, idx, seed), got, got_capped in zip(cells, counts, capped):
+            ref_counts, ref_capped = lockstep(m._jump_engine, idx, seed, 0, trials)
+            assert np.array_equal(got, ref_counts)
+            assert np.array_equal(got_capped, ref_capped)
+        with pytest.raises(NonTerminatingError, match="red_650"):
+            simulate_pumping(model, D[0], trials, seed=60)
 
     def test_incommensurate_detuning_raises_under_jump(self):
         model = incommensurate_model()
@@ -391,7 +411,7 @@ class TestJumpEngine:
             assert eng.period * eng.dt == pytest.approx(cycle, rel=1e-12)
             assert eng.dt <= 0.05
 
-    def test_engine_size_is_fixed_by_the_model(self):
+    def test_engine_size_is_fixed_by_the_model(self, monkeypatch):
         for model in (d_model((SP, PI)), s_model()):
             eng = model._jump_engine
             props = eng.propagators()
@@ -400,7 +420,7 @@ class TestJumpEngine:
             assert not props[:, :2, 2:].any() and not props[:, 2:, :2].any()
             stride = 2**eng.levels
             assert stride // 2 < max(eng.period, 32) <= stride
-            run = _Trajectories([(eng, 2, 3, 0, 16)], 400)
+            run = _Trajectories([(eng, 2, 3, 0, 16)])
             assert [t.shape for t in run.lift] == [
                 (eng.levels + 1, eng.period, 2, 2),
                 (eng.levels + 1, eng.period, 4, 4),
@@ -409,7 +429,8 @@ class TestJumpEngine:
             eng = model._jump_engine
             size = engine_nbytes(eng)
             for max_steps in (50, 5000, 400_000, 4_000_000):
-                _jump_counts([(model, 2, 3)], 16, 400, max_steps, 8192)
+                monkeypatch.setattr(scatter, "_MAX_STEPS", max_steps)
+                _jump_counts([(model, 2, 3)], 16)
                 assert engine_nbytes(eng) == size
 
     def test_lowest_admitted_field_stays_within_the_table_budget(self):
@@ -421,10 +442,10 @@ class TestJumpEngine:
             engines = [d_model(pols, b=b)._jump_engine for _, pols in D_SETTINGS]
             assert max(eng.period for eng in engines) <= _MAX_PERIOD
             cells = [(4 * ri + ci, eng) for ri, eng in enumerate(engines) for ci in range(4)]
-            blocks = list(_blocks(cells, 1, 8192))
+            blocks = list(_blocks(cells, 1))
             assert [sorted({c // 4 for c, _, _ in pieces}) for pieces in blocks] == groups
             for pieces in blocks:
-                run = _Trajectories([(engines[c // 4], 2 + c % 4, 1, lo, n) for c, lo, n in pieces], 400)
+                run = _Trajectories([(engines[c // 4], 2 + c % 4, 1, lo, n) for c, lo, n in pieces])
                 assert sum(t.nbytes for t in run.lift) <= budget
                 del run
 
@@ -474,17 +495,23 @@ def test_detection_matrix_blocks_match_per_cell_runs(b_gauss):
         per_cell = [simulate_pumping(m, GROUND_STATES[idx], trials, s) for m, idx, s in cells]
         assert matrix.means.ravel().tolist() == [res.mean for res in per_cell]
         assert matrix.sems.ravel().tolist() == [res.sem for res in per_cell]
-        counts, capped = _jump_counts(cells, trials, 400, 400_000, 13)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scatter, "_BLOCK", 13)
+            counts, capped = _jump_counts(cells, trials)
         for res, got, got_capped in zip(per_cell, counts, capped):
             assert np.array_equal(got, res.counts)
             assert got_capped.mean() == res.capped_fraction == 0.0
         # a step cap that caps some trajectories, which simulate_pumping rejects
-        counts, capped = _jump_counts(cells, trials, 400, 60, 13)
-        assert capped.any()
-        for cell, got, got_capped in zip(cells, counts, capped):
-            ref_counts, ref_capped = _jump_counts([cell], trials, 400, 60, 8192)
-            assert np.array_equal(got, ref_counts[0])
-            assert np.array_equal(got_capped, ref_capped[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scatter, "_MAX_STEPS", 60)
+            mp.setattr(scatter, "_BLOCK", 13)
+            counts, capped = _jump_counts(cells, trials)
+            assert capped.any()
+            mp.setattr(scatter, "_BLOCK", 8192)
+            for cell, got, got_capped in zip(cells, counts, capped):
+                ref_counts, ref_capped = _jump_counts([cell], trials)
+                assert np.array_equal(got, ref_counts[0])
+                assert np.array_equal(got_capped, ref_capped[0])
 
 
 _BLOCK_MODEL = d_model((SP, PI))
@@ -500,7 +527,9 @@ _BLOCK_MODEL = d_model((SP, PI))
 def test_counts_depend_only_on_seed_and_trial_index(seed, trials, extra, block):
     for method in ("jump", "chain"):
         ref = simulate_pumping(_BLOCK_MODEL, D[1], trials + extra, seed, method=method)
-        res = simulate_pumping(_BLOCK_MODEL, D[1], trials, seed, method=method, block=block)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scatter, "_BLOCK", block)
+            res = simulate_pumping(_BLOCK_MODEL, D[1], trials, seed, method=method)
         assert np.array_equal(res.counts, ref.counts[:trials])
 
 
@@ -551,7 +580,7 @@ def chain_cdf(model, idx):
 def test_chain_trial_inverts_draw_zero_of_its_own_key(monkeypatch, chunk):
     # slices of 5 rows cut cells mid-trial; every bright trajectory reads one
     # uniform, and the dark initial states read none
-    monkeypatch.setattr(scatter, "_CHUNK_BLOCKS", chunk)
+    monkeypatch.setattr(scatter, "_BLOCK", chunk)
     rows = []
 
     def counted(seed, first, n, *args):
@@ -571,11 +600,13 @@ def test_chain_trial_inverts_draw_zero_of_its_own_key(monkeypatch, chunk):
         assert got.tolist() == ref
 
 
-def test_chain_has_no_cap():
-    # max_jumps bounds the jump engine only: a chain trajectory is one draw from its law
+def test_chain_has_no_cap(monkeypatch):
+    # the caps bound the jump engine only: a chain trajectory is one draw from its law
     model = d_model((SP, PI))
     ref = simulate_pumping(model, D[0], 200, seed=8, method="chain")
-    res = simulate_pumping(model, D[0], 200, seed=8, method="chain", max_jumps=3, max_steps=5)
+    monkeypatch.setattr(scatter, "_MAX_JUMPS", 3)
+    monkeypatch.setattr(scatter, "_MAX_STEPS", 5)
+    res = simulate_pumping(model, D[0], 200, seed=8, method="chain")
     assert np.array_equal(res.counts, ref.counts) and res.capped_fraction == 0.0
     assert res.counts.max() > 3
 
@@ -684,7 +715,7 @@ class TestChainTermination:
 
 
 def test_chain_matrix_memory_is_bounded_by_its_outputs():
-    # draws are made in slices of at most _CHUNK_BLOCKS rows, whatever the trial count
+    # draws are made in slices of at most _BLOCK rows, whatever the trial count
     def peak_bytes(trials):
         tracemalloc.start()
         try:
