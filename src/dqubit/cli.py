@@ -1,9 +1,15 @@
-"""Command-line front end: one subcommand per experiment, reproducible outputs.
+"""Command-line front end, one reproducible experiment per run.
 
-Every run writes its artifacts plus a ``resolved.cfg`` echo of the full
-configuration (defaults filled in) into the output directory; each artifact
-embeds the config hash and seed.  Exit codes: 0 success, 1 configuration
-error (the offending key is named), 2 runtime or fit failure.
+Usage: dqubit EXPERIMENT [--config PATH] [--seed N] [--out DIR] [--trials N] [--quiet]
+
+Options may come before or after the experiment; ``--seed`` and ``--trials``
+override the config file.  Every run writes its artifacts plus a
+``resolved.cfg`` echo of the full configuration (defaults filled in) into
+the output directory; each artifact embeds the config hash and seed.  Exit
+codes: 0 success; 1 configuration error naming the offending key (``out``
+for an output directory that cannot be made or written); 2 runtime or fit
+failure, or an argparse usage error such as an unknown experiment or a
+non-integer ``--seed``.
 """
 from __future__ import annotations
 
@@ -22,8 +28,6 @@ from .rng import substream
 
 __all__ = ["main", "run"]
 
-_POL_NAMES = {"sigma+": Polarization.SIGMA_PLUS, "sigma-": Polarization.SIGMA_MINUS, "pi": Polarization.PI}
-
 
 def _run_detmatrix(cfg: RunConfig, which: str) -> Iterator[tuple[str, str]]:
     p = cfg.params
@@ -40,7 +44,7 @@ def _run_detmatrix(cfg: RunConfig, which: str) -> Iterator[tuple[str, str]]:
 
 def _run_darkstates(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     p = cfg.params
-    pols = [_POL_NAMES[s] for s in p["pols"].split(",")]
+    pols = [Polarization(s) for s in p["pols"].split(",")]
     if p["detuning_mode"] == "standard":
         beam = scatter.standard_beam(scatter.BeamColor.RED_650, pols, p["b_gauss"])
         dets = dict(beam.detuning_hz)
@@ -205,12 +209,15 @@ _RUNNERS = {
 def run(cfg: RunConfig, quiet: bool = False) -> list[Path]:
     """Dispatch one experiment, writing each document as its runner yields it; returns the paths."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = []
     resolved = [("resolved.cfg", cfg.canonical_text())]
     for name, text in itertools.chain(resolved, _RUNNERS[cfg.experiment](cfg)):
         path = out / name
-        path.write_text(text)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            raise ConfigError("out", f"cannot write {path}: {exc}") from None
         if not quiet:
             print(f"wrote {path}")
         paths.append(path)
@@ -224,46 +231,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dqubit",
         description="Reproducible experiments on the metastable-manifold qubit toolkit",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, specs in EXPERIMENTS.items():
-        sp = sub.add_parser(name, help=f"run the {name} experiment")
-        sp.add_argument("--config", metavar="PATH", help="INI config file")
-        sp.add_argument("--seed", type=int, metavar="N", help="RNG seed, 0 <= N < 2**63")
-        sp.add_argument("--out", metavar="DIR", default=None, help="output directory")
-        sp.add_argument("--trials", type=int, metavar="N", help="override trial count")
-        sp.add_argument("--quiet", action="store_true", help="suppress progress output")
+    parser.add_argument("experiment", choices=EXPERIMENTS, metavar="EXPERIMENT", help="one of %(choices)s")
+    parser.add_argument("--config", metavar="PATH", help="INI config file")
+    parser.add_argument("--seed", type=int, metavar="N", help="RNG seed, 0 <= N < 2**63")
+    parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
+    parser.add_argument("--trials", type=int, metavar="N", help="override trial count")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg = load_config(args.config, args.experiment)
-        else:
-            cfg = RunConfig(experiment=args.experiment)
-        if args.seed is not None:
-            cfg = RunConfig(experiment=cfg.experiment, seed=args.seed, params=cfg.params)
-        if args.trials is not None:
-            if "trials" not in {p.name for p in EXPERIMENTS[cfg.experiment]}:
-                raise ConfigError("trials", f"not a parameter of {cfg.experiment}")
-            params = dict(cfg.params, trials=args.trials)
-            cfg = RunConfig(experiment=cfg.experiment, seed=cfg.seed, params=params)
-        cfg.out_dir = args.out if args.out is not None else "."
-    except ConfigError as exc:
+        base = load_config(args.config, args.experiment) if args.config else RunConfig(args.experiment)
+        seed = base.seed if args.seed is None else args.seed
+        trials = {} if args.trials is None else {"trials": args.trials}
+        run(RunConfig(args.experiment, seed, args.out, {**base.params, **trials}), quiet=args.quiet)
+    except (dynamics.FitFailureError, scatter.NonTerminatingError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        run(cfg, quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (dynamics.FitFailureError, scatter.NonTerminatingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2  # ConfigError is a ValueError
     return 0
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import dqubit
 from dqubit import config
-from dqubit.cli import main, run
+from dqubit.cli import _build_parser, main, run
 from dqubit.config import EXPERIMENTS, ConfigError, RunConfig, load_config
 
 
@@ -191,9 +191,39 @@ def test_canonical_text_round_trips_through_load_config(tmp_path_factory, experi
 
 
 class TestCliProcess:
-    def test_every_experiment_has_a_subcommand(self):
+    def test_every_experiment_is_a_parser_choice(self, capsys):
+        parser = _build_parser()
         for name in EXPERIMENTS:
-            assert name in EXPERIMENTS
+            assert parser.parse_args([name]).experiment == name
+            args = parser.parse_args(["--seed", "4", name, "--quiet"])  # options on either side
+            assert (args.experiment, args.seed, args.quiet) == (name, 4, True)
+        with pytest.raises(SystemExit) as exc:
+            main(["teleport"])
+        assert exc.value.code == 2
+        assert "teleport" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_unusable_out_names_key(self, tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker if where == "file" else blocker / "sub"
+        assert main(["darkstates", "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "'out'" in err and "Traceback" not in err
+        assert blocker.read_text() == ""
+
+    def test_command_line_overrides_config_file(self, tmp_path):
+        cfg_path = tmp_path / "my.cfg"
+        cfg_path.write_text("[run]\nexperiment = detmatrix_s\nseed = 9\n\n[params]\nb_gauss = 1.5\ntrials = 50\n")
+        argv = ["detmatrix_s", "--config", str(cfg_path), "--seed", "4", "--trials", "7"]
+        assert main([*argv, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        resolved = (tmp_path / "o" / "resolved.cfg").read_text()
+        assert "seed = 4\n" in resolved and "trials = 7\n" in resolved and "b_gauss = 1.5\n" in resolved
+        expected = RunConfig("detmatrix_s", 4, params={"b_gauss": 1.5, "trials": 7})
+        assert resolved == expected.canonical_text()
+        text = (tmp_path / "o" / "detmatrix_s.txt").read_text()
+        assert f"config-hash: {expected.config_hash}" in text
+        assert "seed: 4" in text and "trials: 7" in text
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         rc = main(["detmatrix_s", "--trials", "-3", "--out", str(tmp_path)])
